@@ -1,0 +1,71 @@
+"""Byte-for-byte CLI stdout on three tiny instances.
+
+The expected outputs under tests/golden/ pin the exact stdout and exit code
+of the selection, increment and P-ordering subcommands, so a rewrite of the
+kernels behind them cannot change a single byte unnoticed.  `ties6` is an
+invalid, tie-heavy triple, so lowest-index tie-breaking is pinned too.
+
+Regenerate (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py --regen
+"""
+
+from __future__ import annotations
+
+import sys
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from ultragreedy.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INSTANCES = ("parity5", "padic6", "ties6")
+PORDERING = (
+    ("p2", ["--p", "2", "--points", "0,1,2,9,17,128"]),
+    ("p3", ["--p", "3", "--points", "0,1,2,3,4,5,6,12", "--m", "11"]),
+    ("p5", ["--p", "5", "--points=-7,3,8,13,20,33,58", "--m", "4"]),
+)
+CHECKS = (
+    ("p2-good", ["--p", "2", "--points", "0,1,2,9,17,128", "--check", "2,9,0,17,1"]),
+    ("p2-bad", ["--p", "2", "--points", "0,1,2,9,17,128", "--check", "2,9,17,0,1"]),
+    ("p3-repeat", ["--p", "3", "--points", "0,1,2,3,4,5,6,12", "--check", "0,1,2,3,4,5,6,12,0,0"]),
+    ("p3-early-repeat", ["--p", "3", "--points", "0,1,2,3,4,5,6,12", "--check", "0,3,0"]),
+)
+
+
+def _cases() -> list[tuple[str, list[str]]]:
+    cases = []
+    for name in INSTANCES:
+        path = str(GOLDEN / f"{name}.json")
+        cases += [
+            (f"{name}.greedy", ["greedy", path]),
+            (f"{name}.greedy-ties-all-m3", ["greedy", path, "--ties", "all", "--m", "3"]),
+            (f"{name}.greedy-subseq", ["greedy", path, "--mode", "subseq"]),
+            (f"{name}.nu-k3", ["nu", path, "--k", "3"]),
+            (f"{name}.nu-subseq-k4", ["nu", path, "--mode", "subseq", "--k", "4"]),
+        ]
+    cases += [(f"pordering-{name}", ["pordering", *argv]) for name, argv in PORDERING]
+    cases += [(f"pordering-check-{name}", ["pordering", *argv]) for name, argv in CHECKS]
+    return cases
+
+
+def _run(argv: list[str]) -> str:
+    """Exit code on the first line, then stdout exactly as printed."""
+    buf = StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    return f"exit {code}\n{buf.getvalue()}"
+
+
+@pytest.mark.parametrize("name,argv", _cases(), ids=[name for name, _ in _cases()])
+def test_stdout_matches_golden(name, argv):
+    want = (GOLDEN / f"{name}.out").read_text()
+    assert _run(argv) == want
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--regen"]:
+    for name, argv in _cases():
+        (GOLDEN / f"{name}.out").write_text(_run(argv))
