@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from typing import Iterable, Sequence
 
-from .greedy import TieBreak, is_greedy_permutation
+from .greedy import is_greedy_permutation
 
 
 def is_prime(n: int) -> bool:
@@ -66,7 +66,9 @@ class Valuation:
         return Valuation(self.value + other.value)
 
 
-@lru_cache(maxsize=None)
+# bounded for long-lived processes; 2**15 entries hold every difference that
+# a 300-integer pool ordered to m = 60 looks up (at most 18,000)
+@lru_cache(maxsize=1 << 15)
 def _vp_int(p: int, x: int) -> int | None:
     """Exponent of p in x, None for x = 0.  Assumes p already prime-checked."""
     if x == 0:
@@ -87,27 +89,28 @@ def vp(p: int, x: int) -> Valuation:
     return Valuation(_vp_int(p, x))
 
 
-def _step_valuation(p: int, x: int, prefix: Sequence[int]) -> int | None:
-    """Valuation of the product of (x - a) over the prefix; None is infinity."""
-    total = 0
-    for a in prefix:
-        v = _vp_int(p, x - a)
-        if v is None:
+def _pm_walk(pool: list[int], p: int, seq: Sequence[int], m: int) -> list[int] | None:
+    """m P-ordering steps over pool, following seq while it lasts.
+
+    Past seq each step takes the smallest integer of minimum valuation.
+    `vals` maps every candidate whose difference product with the picks so
+    far is nonzero to that product's valuation; the others (the picks
+    themselves) are at infinity, so they only tie once every candidate is.
+    Returns the picks, or None as soon as an entry of seq does not minimize.
+    """
+    vals = dict.fromkeys(pool, 0)
+    out: list[int] = []
+    for i in range(m):
+        top = min(vals, key=vals.__getitem__) if vals else pool[0]
+        c = seq[i] if i < len(seq) else top
+        if vals and vals.get(c) != vals[top]:
             return None
-        total += v
-    return total
+        out.append(c)
+        vals = {x: v + _vp_int(p, x - c) for x, v in vals.items() if x != c}
+    return out
 
 
-def _vless(u: int | None, v: int | None) -> bool:
-    """Strict comparison with None as plus infinity."""
-    if u is None:
-        return False
-    return v is None or u < v
-
-
-def pm_ordering(
-    E: Iterable[int], p: int, m: int, tb: TieBreak = TieBreak.LOWEST_INDEX
-) -> list[int]:
+def pm_ordering(E: Iterable[int], p: int, m: int) -> list[int]:
     """An m-tuple over E, each entry minimizing the difference-product valuation.
 
     Ties go to the smallest integer value, which keeps the output stable
@@ -115,26 +118,13 @@ def pm_ordering(
     repeat would put a zero factor in the product); for larger m the
     selection keeps running and repeats per the same tie-break.
     """
-    if tb is not TieBreak.LOWEST_INDEX:
-        raise ValueError("pm_ordering returns a single tuple; enumerate-all is not supported")
     _check_prime(p)
     pool = sorted(set(E))
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > 0 and not pool:
         raise ValueError("E must be nonempty")
-    seq: list[int] = []
-    for _ in range(m):
-        best_x = None
-        best_v: int | None = None
-        first = True
-        for x in pool:
-            v = _step_valuation(p, x, seq)
-            if first or _vless(v, best_v):
-                best_x, best_v, first = x, v, False
-        assert best_x is not None
-        seq.append(best_x)
-    return seq
+    return _pm_walk(pool, p, (), m)
 
 
 def is_pm_ordering(E: Iterable[int], p: int, seq: Sequence[int]) -> bool:
@@ -144,13 +134,7 @@ def is_pm_ordering(E: Iterable[int], p: int, seq: Sequence[int]) -> bool:
     poolset = set(pool)
     if any(c not in poolset for c in seq):
         return False
-    for k, c in enumerate(seq):
-        prefix = seq[:k]
-        mine = _step_valuation(p, c, prefix)
-        for x in pool:
-            if _vless(_step_valuation(p, x, prefix), mine):
-                return False
-    return True
+    return _pm_walk(pool, p, seq, len(seq)) is not None
 
 
 def check_equivalence(E: Iterable[int], p: int, seq: Sequence[int]) -> bool:

@@ -32,7 +32,7 @@ from .constructions import (
     rseq_triple,
     tree_triple,
 )
-from .core import FullUltraTriple, UltraTriple, perimeter_tuple, rational, validate
+from .core import FullUltraTriple, UltraTriple, rational, validate
 from .greedoid import (
     SetSystem,
     bhargava_greedoid,
@@ -44,7 +44,7 @@ from .greedoid import (
     level_sets,
     points_from_mask,
 )
-from .greedy import GreedyTrace, all_greedy_permutations, greedy_permutation, greedy_subsequence, nu, nu_bar
+from .greedy import GreedyTrace, all_greedy_traces, greedy_permutation, greedy_subsequence, nu, nu_bar
 from .oracle import random_ultra_triple
 
 ENV_CAP = "ULTRAGREEDY_CAP"
@@ -175,17 +175,6 @@ def _trace_document(t: UltraTriple, trace: GreedyTrace) -> dict:
     }
 
 
-def _trace_from_points(t: UltraTriple, seq: Sequence[int], mode: str) -> GreedyTrace:
-    # increments recovered from raw perimeter differences of the prefixes
-    increments = []
-    prev = Fraction(0)
-    for i in range(1, len(seq) + 1):
-        cur = perimeter_tuple(t, seq[:i])
-        increments.append(cur - prev)
-        prev = cur
-    return GreedyTrace(tuple(seq), tuple(increments), mode)
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     t = read_instance(args.instance)
     cap = _cap(args, 64)
@@ -225,8 +214,7 @@ def cmd_greedy(args: argparse.Namespace) -> int:
         try:
             if args.ties == "all":
                 cap = _cap(args, 10**6)
-                seqs = all_greedy_permutations(t, pts, m, cap=cap)
-                traces = [_trace_from_points(t, seq, "permutation") for seq in seqs]
+                traces = all_greedy_traces(t, pts, m, cap=cap)
             else:
                 traces = [greedy_permutation(t, pts, m)]
         except ValueError as exc:

@@ -32,7 +32,8 @@ def rational(value: int | str | Fraction) -> Fraction:
 
 
 def _freeze_rationals(values: Iterable[int | str | Fraction]) -> tuple[Fraction, ...]:
-    return tuple(rational(v) for v in values)
+    # exact Fractions (e.g. from a parsed file) are immutable: keep them as they are
+    return tuple(v if type(v) is Fraction else rational(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,14 @@ class FullUltraTriple(UltraTriple):
     def without_selfdist(self) -> UltraTriple:
         """The plain triple obtained by forgetting the diagonal."""
         return UltraTriple(self.labels, self.weights, self.dist)
+
+
+def _subset(t: UltraTriple, C: Iterable[int]) -> list[int]:
+    """The candidate set C as sorted distinct points, each checked against t."""
+    pts = sorted(set(C))
+    for a in pts:
+        t._check_point(a)
+    return pts
 
 
 class Violation(NamedTuple):

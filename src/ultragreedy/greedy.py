@@ -11,16 +11,10 @@ a greedy trace is independent of how ties were broken, which makes the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import FullUltraTriple, UltraTriple
-
-
-class TieBreak(Enum):
-    LOWEST_INDEX = "lowest-index"
-    ENUMERATE_ALL = "enumerate-all"
+from .core import FullUltraTriple, UltraTriple, _subset
 
 
 @dataclass(frozen=True)
@@ -57,57 +51,59 @@ class GreedyTrace:
         return tuple(out)
 
 
-def _subset(t: UltraTriple, C: Iterable[int]) -> list[int]:
-    pts = sorted(set(C))
-    for a in pts:
-        t._check_point(a)
-    return pts
+def _step(t: UltraTriple, gains: dict[int, Fraction], c: int, keep: bool) -> dict[int, Fraction]:
+    """The gains after picking c: every candidate x gains d(c, x).
+
+    c itself leaves the candidates unless `keep` (subsequences, where its
+    gain grows by the self-distance).  The distances are read straight from
+    the tables: every candidate was checked once, by `_subset`.
+    """
+    dist = t.dist
+    row = dist[c]
+    out = {}
+    for x, g in gains.items():
+        if x < c:
+            out[x] = g + row[x]
+        elif x > c:
+            out[x] = g + dist[x][c]
+        elif keep:
+            out[x] = g + t.selfdist[c]
+    return out
 
 
-def _gain(t: UltraTriple, chosen: Sequence[int], x: int) -> Fraction:
-    """Perimeter increase from appending x to the selection `chosen`."""
-    g = t.w(x)
-    for c in chosen:
-        g += t.d(c, x)
-    return g
+def _walk(
+    t: UltraTriple, pts: list[int], seq: Sequence[int], m: int, keep: bool
+) -> tuple[tuple[int, ...], tuple[Fraction, ...]] | None:
+    """m greedy steps over pts, following seq while it lasts.
+
+    Past seq each step takes the lowest-index point of maximum gain.  Returns
+    the picks and their gains, or None as soon as an entry of seq has less
+    than the maximum gain.  Each step costs O(|pts|): one pass for the
+    maximum and one distance row added to the gain vector.
+    """
+    gains = {x: t.weights[x] for x in pts}
+    chosen: list[int] = []
+    increments: list[Fraction] = []
+    for i in range(m):
+        top = max(gains, key=gains.__getitem__)
+        c = seq[i] if i < len(seq) else top
+        if gains[c] != gains[top]:
+            return None
+        chosen.append(c)
+        increments.append(gains[c])
+        gains = _step(t, gains, c, keep)
+    return tuple(chosen), tuple(increments)
 
 
-def _require_single_choice(tb: TieBreak) -> None:
-    if tb is not TieBreak.LOWEST_INDEX:
-        raise ValueError(
-            "this operation returns a single trace; "
-            "use all_greedy_permutations for enumerate-all"
-        )
-
-
-def greedy_permutation(
-    t: UltraTriple, C: Iterable[int], m: int, tb: TieBreak = TieBreak.LOWEST_INDEX
-) -> GreedyTrace:
+def greedy_permutation(t: UltraTriple, C: Iterable[int], m: int) -> GreedyTrace:
     """Pick m distinct points of C, each maximizing the set perimeter.
 
     Ties go to the lowest point index, so the result is deterministic.
     """
-    _require_single_choice(tb)
     pts = _subset(t, C)
     if not 0 <= m <= len(pts):
         raise ValueError(f"m={m} must be between 0 and |C|={len(pts)}")
-    chosen: list[int] = []
-    taken: set[int] = set()
-    increments: list[Fraction] = []
-    for _ in range(m):
-        best_x = None
-        best_gain = None
-        for x in pts:
-            if x in taken:
-                continue
-            g = _gain(t, chosen, x)
-            if best_gain is None or g > best_gain:
-                best_x, best_gain = x, g
-        assert best_x is not None and best_gain is not None
-        chosen.append(best_x)
-        taken.add(best_x)
-        increments.append(best_gain)
-    return GreedyTrace(tuple(chosen), tuple(increments), "permutation")
+    return GreedyTrace(*_walk(t, pts, (), m, False), "permutation")
 
 
 def is_greedy_permutation(t: UltraTriple, C: Iterable[int], seq: Sequence[int]) -> bool:
@@ -122,18 +118,7 @@ def is_greedy_permutation(t: UltraTriple, C: Iterable[int], seq: Sequence[int]) 
         return False
     if any(c not in ptset for c in seq):
         return False
-    chosen: list[int] = []
-    used: set[int] = set()
-    for c in seq:
-        g = _gain(t, chosen, c)
-        for x in pts:
-            if x in used:
-                continue
-            if _gain(t, chosen, x) > g:
-                return False
-        chosen.append(c)
-        used.add(c)
-    return True
+    return _walk(t, pts, seq, len(seq), False) is not None
 
 
 def extend_greedy(t: UltraTriple, C: Iterable[int], prefix: GreedyTrace, m: int) -> GreedyTrace:
@@ -145,66 +130,47 @@ def extend_greedy(t: UltraTriple, C: Iterable[int], prefix: GreedyTrace, m: int)
         raise ValueError("prefix is not a greedy permutation of C")
     if not len(prefix) <= m <= len(pts):
         raise ValueError(f"need |prefix|={len(prefix)} <= m={m} <= |C|={len(pts)}")
-    chosen = list(prefix.points)
-    taken = set(chosen)
-    increments = list(prefix.increments)
-    for _ in range(m - len(chosen)):
-        best_x = None
-        best_gain = None
-        for x in pts:
-            if x in taken:
-                continue
-            g = _gain(t, chosen, x)
-            if best_gain is None or g > best_gain:
-                best_x, best_gain = x, g
-        assert best_x is not None and best_gain is not None
-        chosen.append(best_x)
-        taken.add(best_x)
-        increments.append(best_gain)
-    return GreedyTrace(tuple(chosen), tuple(increments), "permutation")
+    chosen, increments = _walk(t, pts, prefix.points, m, False)
+    return GreedyTrace(chosen, prefix.increments + increments[len(prefix) :], "permutation")
 
 
-def all_greedy_permutations(
-    t: UltraTriple, C: Iterable[int], m: int, cap: int = 10**6
-) -> tuple[tuple[int, ...], ...]:
-    """Every greedy m-permutation of C, in lexicographic order.
+def all_greedy_traces(t: UltraTriple, C: Iterable[int], m: int, cap: int = 10**6) -> tuple[GreedyTrace, ...]:
+    """Every greedy m-permutation of C with its increments, in lexicographic order.
 
-    Depth-first branches over every maximizing choice at each step; `cap`
+    Depth-first over every maximizing choice at each step, on an explicit
+    stack rather than the call stack, so no depth hits the recursion limit.
+    An entry is (chosen, increments, gains): the gains are the parent's,
+    over the points remaining there, and the last pick's distance row is
+    added only when the entry is popped, so leaves cost nothing.  `cap`
     bounds the number of emitted sequences and exceeding it is an error,
     never a truncation.
     """
     pts = _subset(t, C)
     if not 0 <= m <= len(pts):
         raise ValueError(f"m={m} must be between 0 and |C|={len(pts)}")
-    results: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-    taken: set[int] = set()
-
-    def walk() -> None:
+    results: list[GreedyTrace] = []
+    stack = [((), (), {x: t.weights[x] for x in pts})]
+    while stack:
+        chosen, increments, gains = stack.pop()
         if len(chosen) == m:
             if len(results) >= cap:
                 raise ValueError(f"more than cap={cap} greedy permutations")
-            results.append(tuple(chosen))
-            return
-        best_gain = None
-        gains: list[tuple[int, Fraction]] = []
-        for x in pts:
-            if x in taken:
-                continue
-            g = _gain(t, chosen, x)
-            gains.append((x, g))
-            if best_gain is None or g > best_gain:
-                best_gain = g
-        for x, g in gains:
-            if g == best_gain:
-                chosen.append(x)
-                taken.add(x)
-                walk()
-                chosen.pop()
-                taken.discard(x)
+            results.append(GreedyTrace(chosen, increments, "permutation"))
+            continue
+        if chosen:
+            gains = _step(t, gains, chosen[-1], False)
+        best = max(gains.values())
+        # pushed highest index first, so the lowest is popped first
+        for x in reversed([x for x, g in gains.items() if g == best]):
+            stack.append((chosen + (x,), increments + (best,), gains))
+    return tuple(results)
 
-    walk()
-    return tuple(sorted(results))
+
+def all_greedy_permutations(
+    t: UltraTriple, C: Iterable[int], m: int, cap: int = 10**6
+) -> tuple[tuple[int, ...], ...]:
+    """Every greedy m-permutation of C, in lexicographic order (see `all_greedy_traces`)."""
+    return tuple(tr.points for tr in all_greedy_traces(t, C, m, cap))
 
 
 def nu_bar(t: UltraTriple, C: Iterable[int], k: int, trace: GreedyTrace | None = None) -> Fraction:
@@ -224,16 +190,13 @@ def nu_bar(t: UltraTriple, C: Iterable[int], k: int, trace: GreedyTrace | None =
     return greedy_permutation(t, pts, k).increments[k - 1]
 
 
-def greedy_subsequence(
-    t: FullUltraTriple, C: Iterable[int], m: int, tb: TieBreak = TieBreak.LOWEST_INDEX
-) -> GreedyTrace:
+def greedy_subsequence(t: FullUltraTriple, C: Iterable[int], m: int) -> GreedyTrace:
     """Pick m points of C with replacement, each maximizing tuple perimeter.
 
     Every point of C competes at every step, the current pick included, so
     repeats appear whenever a point keeps winning; that is why the triple
     must carry self-distances.
     """
-    _require_single_choice(tb)
     if not isinstance(t, FullUltraTriple):
         raise TypeError("greedy subsequences need a full triple (self-distances)")
     pts = _subset(t, C)
@@ -241,19 +204,7 @@ def greedy_subsequence(
         raise ValueError("C must be nonempty")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    chosen: list[int] = []
-    increments: list[Fraction] = []
-    for _ in range(m):
-        best_x = None
-        best_gain = None
-        for x in pts:
-            g = _gain(t, chosen, x)
-            if best_gain is None or g > best_gain:
-                best_x, best_gain = x, g
-        assert best_x is not None and best_gain is not None
-        chosen.append(best_x)
-        increments.append(best_gain)
-    return GreedyTrace(tuple(chosen), tuple(increments), "subsequence")
+    return GreedyTrace(*_walk(t, pts, (), m, True), "subsequence")
 
 
 def is_greedy_subsequence(t: FullUltraTriple, C: Iterable[int], seq: Sequence[int]) -> bool:
@@ -264,13 +215,7 @@ def is_greedy_subsequence(t: FullUltraTriple, C: Iterable[int], seq: Sequence[in
     ptset = set(pts)
     if any(c not in ptset for c in seq):
         return False
-    chosen: list[int] = []
-    for c in seq:
-        g = _gain(t, chosen, c)
-        if any(_gain(t, chosen, x) > g for x in pts):
-            return False
-        chosen.append(c)
-    return True
+    return _walk(t, pts, seq, len(seq), True) is not None
 
 
 def nu(t: FullUltraTriple, C: Iterable[int], k: int, trace: GreedyTrace | None = None) -> Fraction:

@@ -15,7 +15,7 @@ from itertools import combinations, permutations, product
 from typing import Iterable
 
 from .constructions import EquivHierarchy, eqrel_triple
-from .core import FullUltraTriple, UltraTriple, perimeter_set, perimeter_tuple
+from .core import FullUltraTriple, UltraTriple, _subset, perimeter_set, perimeter_tuple
 
 
 @dataclass(frozen=True)
@@ -24,13 +24,6 @@ class MaxResult:
 
     value: Fraction
     argmax: tuple
-
-
-def _subset(t: UltraTriple, C: Iterable[int]) -> list[int]:
-    pts = sorted(set(C))
-    for a in pts:
-        t._check_point(a)
-    return pts
 
 
 def brute_max_perimeter(t: UltraTriple, C: Iterable[int], k: int, cap: int = 20) -> MaxResult:

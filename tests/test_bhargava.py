@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -11,7 +11,6 @@ from ultragreedy import (
     pm_ordering,
     vp,
 )
-from ultragreedy.greedy import TieBreak
 
 
 class TestPrimality:
@@ -82,8 +81,6 @@ class TestPmOrdering:
             pm_ordering([1], 2, -1)
         with pytest.raises(ValueError):
             pm_ordering([1], 4, 1)
-        with pytest.raises(ValueError):
-            pm_ordering([1, 2], 2, 2, TieBreak.ENUMERATE_ALL)
 
 
 class TestIsPmOrdering:
@@ -130,3 +127,30 @@ class TestCheckEquivalence:
     def test_non_member_rejected(self):
         with pytest.raises(ValueError):
             check_equivalence([0, 1], 2, (9,))
+
+
+def _product_valuation(p, x, prefix):
+    prod = 1
+    for a in prefix:
+        prod *= x - a
+    return vp(p, prod)
+
+
+def test_orderings_match_product_definition():
+    # valuations of the whole difference product, recomputed per step
+    rng = random.Random(1909)
+    for _ in range(60):
+        E = sorted(rng.sample(range(-40, 40), rng.randint(1, 5)))
+        p = rng.choice((2, 3, 5))
+        for k in range(4):
+            for seq in product(E, repeat=k):
+                want = all(
+                    _product_valuation(p, seq[i], seq[:i]) == min(_product_valuation(p, x, seq[:i]) for x in E)
+                    for i in range(k)
+                )
+                assert is_pm_ordering(E, p, seq) == want
+        m = rng.randint(0, len(E) + 2)
+        seq = pm_ordering(E, p, m)
+        for i in range(m):
+            vals = [_product_valuation(p, x, seq[:i]) for x in E]
+            assert seq[i] == E[vals.index(min(vals))]

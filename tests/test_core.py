@@ -43,6 +43,19 @@ class TestRational:
 
 
 class TestConstruction:
+    def test_fractions_kept_as_given(self):
+        w = F(3, 4)
+        d = F(-1, 2)
+        t = FullUltraTriple(("a", "b"), (w, 0), ((), (d,)), ("1", d))
+        assert t.weights[0] is w and t.dist[1][0] is d and t.selfdist[1] is d
+        assert t.weights[1] == F(0) and t.selfdist[0] == F(1)
+
+    def test_float_and_bool_entries_rejected(self):
+        with pytest.raises(TypeError):
+            UltraTriple(("a", "b"), (F(0), 0.5), ((), (F(1),)))
+        with pytest.raises(TypeError):
+            UltraTriple(("a", "b"), (F(0), F(0)), ((), (True,)))
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             UltraTriple(("a", "a"), (F(0), F(0)), ((), (F(1),)))

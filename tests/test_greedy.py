@@ -1,13 +1,16 @@
+import random
+import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from ultragreedy import (
     FullUltraTriple,
     GreedyTrace,
-    TieBreak,
     all_greedy_permutations,
+    all_greedy_traces,
+    brute_all_greedy,
     brute_max_perimeter,
     brute_max_tuple_perimeter,
     clone_triple,
@@ -63,10 +66,6 @@ class TestGreedyPermutation:
     def test_m_too_large(self, parity5):
         with pytest.raises(ValueError):
             greedy_permutation(parity5, [0, 1], 3)
-
-    def test_enumerate_all_rejected(self, parity5):
-        with pytest.raises(ValueError):
-            greedy_permutation(parity5, parity5.points(), 2, TieBreak.ENUMERATE_ALL)
 
     def test_weird_prefixes_attain_maxima(self, weird_d):
         tr = greedy_permutation(weird_d, weird_d.points(), 5)
@@ -354,3 +353,59 @@ def test_constant_triple_everything_greedy():
     t = constant_triple(4)
     got = all_greedy_permutations(t, t.points(), 2)
     assert len(got) == 12  # every ordered pair ties
+
+
+@pytest.fixture()
+def recursion_limit_120():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def test_enumeration_deeper_than_recursion_limit(recursion_limit_120):
+    # distinct weights and one distance: exactly one greedy permutation
+    t = constant_triple(150, list(range(150)))
+    got = all_greedy_permutations(t, t.points(), 150)
+    assert got == (tuple(range(149, -1, -1)),)
+
+
+def _tie_heavy_triple(rng: random.Random, n: int) -> FullUltraTriple:
+    """A full triple with small integer entries: mostly invalid, full of ties."""
+    return FullUltraTriple(
+        tuple(f"x{i}" for i in range(n)),
+        tuple(F(rng.randint(0, 2)) for _ in range(n)),
+        tuple(tuple(F(rng.randint(0, 2)) for _ in range(i)) for i in range(n)),
+        tuple(F(rng.randint(0, 1)) for _ in range(n)),
+    )
+
+
+def _raw_increments(t, seq):
+    per = [perimeter_tuple(t, seq[:k]) for k in range(len(seq) + 1)]
+    return tuple(b - a for a, b in zip(per, per[1:]))
+
+
+def test_tie_heavy_sweep_against_oracles(enumerate_greedy_subsequences):
+    rng = random.Random(20191)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        t = _tie_heavy_triple(rng, n)
+        C = sorted(rng.sample(range(n), rng.randint(1, n)))
+        m = rng.randint(0, min(len(C), 4))
+        want = brute_all_greedy(t, C, m)
+        assert greedy_permutation(t, C, m).points == want[0]
+        traces = all_greedy_traces(t, C, m)
+        assert tuple(tr.points for tr in traces) == want
+        assert all_greedy_permutations(t, C, m) == want
+        for tr in traces:
+            assert tr.increments == _raw_increments(t, tr.points)
+        for seq in permutations(C, m):
+            assert is_greedy_permutation(t, C, seq) == (seq in want)
+
+        k = rng.randint(0, 3)
+        subseqs = enumerate_greedy_subsequences(t, C, k)
+        tr = greedy_subsequence(t, C, k)
+        assert tr.points == subseqs[0]
+        assert tr.increments == _raw_increments(t, tr.points)
+        for seq in product(C, repeat=k):
+            assert is_greedy_subsequence(t, C, seq) == (seq in subseqs)
