@@ -9,8 +9,8 @@ agree verdict-for-verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+import math
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .greedy import is_greedy_permutation
@@ -33,46 +33,13 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p={p!r} is not a prime")
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Valuation:
-    """A nonnegative integer, or infinity (encoded as value None).
-
-    Infinity only ever arises as the valuation of 0.  Addition saturates,
-    so products with a zero factor compare correctly.
-    """
-
-    value: int | None
-
-    def __post_init__(self) -> None:
-        v = self.value
-        if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 0):
-            raise ValueError(f"valuation must be a nonnegative integer or None, got {v!r}")
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __lt__(self, other: "Valuation") -> bool:
-        if self.value is None:
-            return False
-        if other.value is None:
-            return True
-        return self.value < other.value
-
-    def __add__(self, other: "Valuation") -> "Valuation":
-        if self.value is None or other.value is None:
-            return Valuation(None)
-        return Valuation(self.value + other.value)
-
-
 # bounded for long-lived processes; 2**15 entries hold every difference that
 # a 300-integer pool ordered to m = 60 looks up (at most 18,000)
 @lru_cache(maxsize=1 << 15)
-def _vp_int(p: int, x: int) -> int | None:
-    """Exponent of p in x, None for x = 0.  Assumes p already prime-checked."""
+def _vp_int(p: int, x: int) -> int | float:
+    """Exponent of p in x, math.inf for x = 0.  Assumes p already prime-checked."""
     if x == 0:
-        return None
+        return math.inf
     x = abs(x)
     v = 0
     while x % p == 0:
@@ -81,12 +48,16 @@ def _vp_int(p: int, x: int) -> int | None:
     return v
 
 
-def vp(p: int, x: int) -> Valuation:
-    """Largest k with p**k dividing x; infinite for x = 0."""
+def vp(p: int, x: int) -> int | float:
+    """Largest k with p**k dividing x, as an int; math.inf for x = 0.
+
+    math.inf orders above every int and absorbs addition, so valuations of
+    products with a zero factor compare correctly.
+    """
     _check_prime(p)
     if not isinstance(x, int) or isinstance(x, bool):
         raise TypeError(f"expected an integer, got {x!r}")
-    return Valuation(_vp_int(p, x))
+    return _vp_int(p, x)
 
 
 def _pm_walk(pool: list[int], p: int, seq: Sequence[int], m: int) -> list[int] | None:

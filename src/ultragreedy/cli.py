@@ -94,14 +94,20 @@ def _rational_list(text: str, what: str) -> list[Fraction]:
     return [_rational(part, what) for part in str(text).split(",") if part.strip() != ""]
 
 
-def read_instance(path: str) -> UltraTriple:
+def _load_json(path: str) -> object:
     try:
         with open(path) as f:
-            doc = json.load(f)
+            return json.load(f)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and, outside `main`, integers
+        # longer than the int/str digit limit; RecursionError deep nesting
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+
+
+def read_instance(path: str) -> UltraTriple:
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
     try:
@@ -130,15 +136,12 @@ def instance_document(t: UltraTriple) -> dict:
 
 
 def read_set_system(path: str) -> SetSystem:
+    doc = _load_json(path)
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
-    try:
-        return SetSystem.from_point_sets(int(doc["ground"]), doc["sets"])
+        ground = doc["ground"]
+        if not isinstance(ground, int) or isinstance(ground, bool):
+            raise ValueError(f"ground must be an integer, got {ground!r}")
+        return SetSystem.from_point_sets(ground, doc["sets"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad set system: {exc}") from None
 
@@ -205,20 +208,13 @@ def cmd_greedy(args: argparse.Namespace) -> int:
             raise InputError("subsequence mode needs a full triple (selfdist field)")
         if args.ties == "all":
             raise InputError("--ties all supports permutation mode only")
-        try:
-            traces = [greedy_subsequence(t, pts, m)]
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        traces = [greedy_subsequence(t, pts, m)]
         mode = "subsequence"
     else:
-        try:
-            if args.ties == "all":
-                cap = _cap(args, 10**6)
-                traces = all_greedy_traces(t, pts, m, cap=cap)
-            else:
-                traces = [greedy_permutation(t, pts, m)]
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        if args.ties == "all":
+            traces = all_greedy_traces(t, pts, m, cap=_cap(args, 10**6))
+        else:
+            traces = [greedy_permutation(t, pts, m)]
         mode = "permutation"
     doc = {"mode": mode, "traces": [_trace_document(t, tr) for tr in traces]}
     _emit(json.dumps(doc, indent=2), args.out)
@@ -228,15 +224,12 @@ def cmd_greedy(args: argparse.Namespace) -> int:
 def cmd_nu(args: argparse.Namespace) -> int:
     t = read_instance(args.instance)
     pts = _resolve_subset(t, args.subset)
-    try:
-        if args.mode == "subseq":
-            if not isinstance(t, FullUltraTriple):
-                raise InputError("subsequence mode needs a full triple (selfdist field)")
-            value = nu(t, pts, args.k)
-        else:
-            value = nu_bar(t, pts, args.k)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    if args.mode == "subseq":
+        if not isinstance(t, FullUltraTriple):
+            raise InputError("subsequence mode needs a full triple (selfdist field)")
+        value = nu(t, pts, args.k)
+    else:
+        value = nu_bar(t, pts, args.k)
     _emit(json.dumps(str(value)), args.out)
     return 0
 
@@ -266,11 +259,7 @@ def cmd_greedoid(args: argparse.Namespace) -> int:
         s = read_set_system(args.system)
     else:
         t = read_instance(args.instance)
-        cap = _cap(args, 16)
-        try:
-            s = bhargava_greedoid(t, cap=cap)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        s = bhargava_greedoid(t, cap=_cap(args, 16))
         labels = list(t.labels)
     if args.emit == "sets":
         levels = []
@@ -294,41 +283,38 @@ def cmd_generate(args: argparse.Namespace) -> int:
     weights = None
     if args.weights is not None:
         weights = _rational_list(args.weights, "--weights")
-    try:
-        if family == "constant":
-            if args.n is None:
-                raise InputError("--family constant needs --n")
-            t = constant_triple(args.n, weights)
-        elif family == "mod":
-            if args.points is None or args.m is None or args.eps is None or args.alpha is None:
-                raise InputError("--family mod needs --points, --m, --eps, --alpha")
-            t = mod_triple(
-                _int_list(args.points, "--points"),
-                args.m,
-                _rational(args.eps, "--eps"),
-                _rational(args.alpha, "--alpha"),
-                weights,
-            )
-        elif family in ("padic", "padic-log"):
-            if args.points is None or args.p is None:
-                raise InputError(f"--family {family} needs --points and --p")
-            build = padic_triple if family == "padic" else padic_log_triple
-            t = build(_int_list(args.points, "--points"), args.p, weights)
-        elif family == "rseq":
-            if args.points is None or args.r is None or args.c is None:
-                raise InputError("--family rseq needs --points, --r, --c")
-            t = rseq_triple(
-                _int_list(args.points, "--points"),
-                _int_list(args.r, "--r"),
-                _rational_list(args.c, "--c"),
-                weights,
-            )
-        else:  # random
-            if args.n is None:
-                raise InputError("--family random needs --n")
-            t = random_ultra_triple(args.seed, args.n, args.depth)
-    except (ValueError, TypeError) as exc:
-        raise InputError(str(exc)) from None
+    if family == "constant":
+        if args.n is None:
+            raise InputError("--family constant needs --n")
+        t = constant_triple(args.n, weights)
+    elif family == "mod":
+        if args.points is None or args.m is None or args.eps is None or args.alpha is None:
+            raise InputError("--family mod needs --points, --m, --eps, --alpha")
+        t = mod_triple(
+            _int_list(args.points, "--points"),
+            args.m,
+            _rational(args.eps, "--eps"),
+            _rational(args.alpha, "--alpha"),
+            weights,
+        )
+    elif family in ("padic", "padic-log"):
+        if args.points is None or args.p is None:
+            raise InputError(f"--family {family} needs --points and --p")
+        build = padic_triple if family == "padic" else padic_log_triple
+        t = build(_int_list(args.points, "--points"), args.p, weights)
+    elif family == "rseq":
+        if args.points is None or args.r is None or args.c is None:
+            raise InputError("--family rseq needs --points, --r, --c")
+        t = rseq_triple(
+            _int_list(args.points, "--points"),
+            _int_list(args.r, "--r"),
+            _rational_list(args.c, "--c"),
+            weights,
+        )
+    else:  # random
+        if args.n is None:
+            raise InputError("--family random needs --n")
+        t = random_ultra_triple(args.seed, args.n, args.depth)
     _emit(json.dumps(instance_document(t), indent=2), args.out)
     return 0
 
@@ -379,11 +365,7 @@ def parse_tree_file(path: str) -> WeightedTree:
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
-    tree = parse_tree_file(args.tree)
-    try:
-        t = tree_triple(tree)
-    except (ValueError, TypeError) as exc:
-        raise InputError(str(exc)) from None
+    t = tree_triple(parse_tree_file(args.tree))
     _emit(json.dumps(instance_document(t), indent=2), args.out)
     return 0
 
@@ -394,20 +376,14 @@ def cmd_pordering(args: argparse.Namespace) -> int:
         raise InputError("--points must name at least one integer")
     if args.check is not None:
         seq = _int_list(args.check, "--check")
-        try:
-            if len(set(seq)) == len(seq) and set(seq) <= set(points):
-                verdict = check_equivalence(points, args.p, seq)
-            else:
-                verdict = is_pm_ordering(points, args.p, seq)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        if len(set(seq)) == len(seq) and set(seq) <= set(points):
+            verdict = check_equivalence(points, args.p, seq)
+        else:
+            verdict = is_pm_ordering(points, args.p, seq)
         _emit(json.dumps(verdict), args.out)
         return 0 if verdict else 1
     m = len(points) if args.m is None else args.m
-    try:
-        seq = pm_ordering(points, args.p, m)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    seq = pm_ordering(points, args.p, m)
     _emit(json.dumps(seq), args.out)
     return 0
 
@@ -496,11 +472,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # exact rationals may carry integers of any length, in and out; the
+    # caller's int/str digit limit comes back on return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bhargava import is_prime, vp
+from .bhargava import _check_prime, _vp_int
 from .core import FullUltraTriple, UltraTriple, rational
 
 
@@ -79,21 +79,19 @@ def mod_triple(
 
 def padic_triple(points: Iterable[int], p: int, weights: Iterable | None = None) -> UltraTriple:
     """Distance p**(-v_p(a-b)) between distinct integers a and b."""
-    if not is_prime(p):
-        raise ValueError(f"p={p!r} is not a prime")
+    _check_prime(p)
     pts = _int_points(points)
     return _triple_from_pairs(
-        pts, lambda a, b: Fraction(1, p ** vp(p, a - b).value), weights
+        pts, lambda a, b: Fraction(1, p ** _vp_int(p, a - b)), weights
     )
 
 
 def padic_log_triple(points: Iterable[int], p: int, weights: Iterable | None = None) -> UltraTriple:
     """Distance -v_p(a-b): the integer-valued logarithmic variant."""
-    if not is_prime(p):
-        raise ValueError(f"p={p!r} is not a prime")
+    _check_prime(p)
     pts = _int_points(points)
     return _triple_from_pairs(
-        pts, lambda a, b: Fraction(-vp(p, a - b).value), weights
+        pts, lambda a, b: Fraction(-_vp_int(p, a - b)), weights
     )
 
 

@@ -10,7 +10,7 @@ failed axiom comes with a re-checkable witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 from .core import UltraTriple, perimeter_set, projections
@@ -26,13 +26,12 @@ def mask_from_points(pts: Iterable[int]) -> int:
 
 
 def points_from_mask(mask: int) -> tuple[int, ...]:
+    # one step per member point (lowest set bit first), not per bit position
     out = []
-    a = 0
     while mask:
-        if mask & 1:
-            out.append(a)
-        mask >>= 1
-        a += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -54,6 +53,11 @@ class SetSystem:
 
     @classmethod
     def from_point_sets(cls, ground: int, families: Iterable[Iterable[int]]) -> "SetSystem":
+        families = [tuple(f) for f in families]
+        for a in chain.from_iterable(families):
+            # checked before shifting: a huge point would build a huge mask
+            if not 0 <= a < ground:
+                raise ValueError(f"point {a!r} does not fit in ground size {ground}")
         return cls(ground, frozenset(mask_from_points(s) for s in families))
 
     def members(self) -> list[int]:
@@ -117,49 +121,60 @@ def check_axiom_i(s: SetSystem) -> AxiomReport:
     return AxiomReport("i", False, {"missing": ()})
 
 
+def _exchange_maps(s: SetSystem) -> tuple[dict[int, int], dict[int, int]]:
+    """One pass over the members: `ext[D]` holds every y with D + y a member,
+    for each D one element short of a member; `dele[B]` holds every x in
+    the member B with B - x a member.  Each axiom below then costs a few
+    ANDs per pair of members instead of a membership scan per point."""
+    ext: dict[int, int] = {}
+    dele: dict[int, int] = {}
+    for B in s.sets:
+        down = 0
+        for x in points_from_mask(B):
+            bit = 1 << x
+            D = B ^ bit
+            ext[D] = ext.get(D, 0) | bit
+            if D in s.sets:
+                down |= bit
+        dele[B] = down
+    return ext, dele
+
+
 def check_axiom_ii(s: SetSystem) -> AxiomReport:
     """Every nonempty member must stay in the system after deleting some element."""
+    _, dele = _exchange_maps(s)
     for B in s.members():
-        if B == 0:
-            continue
-        if not any((B ^ (1 << b)) in s.sets for b in points_from_mask(B)):
+        if B and not dele[B]:
             return AxiomReport("ii", False, {"B": points_from_mask(B)})
     return AxiomReport("ii", True)
 
 
-def check_axiom_iii(s: SetSystem) -> AxiomReport:
-    """For members A, B with |B| = |A|+1, some b in B-A must extend A inside the system."""
+def _check_pairs(s: SetSystem, axiom: str) -> AxiomReport:
+    """Axiom (iii), or (iv) when axiom is "iv": the first pair of members
+    (A, B) with |B| = |A|+1 and no x in B - A extending A (and, for (iv),
+    also leaving B - x) inside the system is the witness."""
+    ext, dele = _exchange_maps(s)
     by_card: dict[int, list[int]] = {}
     for m in s.members():
         by_card.setdefault(m.bit_count(), []).append(m)
     for k, As in sorted(by_card.items()):
+        exts = [(A, ext.get(A, 0)) for A in As]
         for B in by_card.get(k + 1, ()):
-            for A in As:
-                if not any(
-                    (A | (1 << b)) in s.sets for b in points_from_mask(B & ~A)
-                ):
-                    return AxiomReport(
-                        "iii", False, {"A": points_from_mask(A), "B": points_from_mask(B)}
-                    )
-    return AxiomReport("iii", True)
+            mask = B & dele[B] if axiom == "iv" else B
+            for A, e in exts:
+                if not mask & e:
+                    return AxiomReport(axiom, False, {"A": points_from_mask(A), "B": points_from_mask(B)})
+    return AxiomReport(axiom, True)
+
+
+def check_axiom_iii(s: SetSystem) -> AxiomReport:
+    """For members A, B with |B| = |A|+1, some b in B-A must extend A inside the system."""
+    return _check_pairs(s, "iii")
 
 
 def check_axiom_iv(s: SetSystem) -> AxiomReport:
     """Like (iii), but the same x must also leave B - x in the system."""
-    by_card: dict[int, list[int]] = {}
-    for m in s.members():
-        by_card.setdefault(m.bit_count(), []).append(m)
-    for k, As in sorted(by_card.items()):
-        for B in by_card.get(k + 1, ()):
-            for A in As:
-                if not any(
-                    (A | (1 << x)) in s.sets and (B ^ (1 << x)) in s.sets
-                    for x in points_from_mask(B & ~A)
-                ):
-                    return AxiomReport(
-                        "iv", False, {"A": points_from_mask(A), "B": points_from_mask(B)}
-                    )
-    return AxiomReport("iv", True)
+    return _check_pairs(s, "iv")
 
 
 def level_sets(s: SetSystem, k: int) -> SetSystem:
@@ -178,14 +193,14 @@ def check_matroid_bases(s: SetSystem) -> AxiomReport:
         raise ValueError(f"members have mixed cardinalities {sorted(cards)}")
     if not s.sets:
         return AxiomReport("matroid-exchange", False, {"empty": True})
+    ext, _ = _exchange_maps(s)
     members = s.members()
     for B1 in members:
+        # x fails against B2 when B2 holds neither x nor a y with B1 - x + y a member
+        blocks = [(x, (1 << x) | ext[B1 ^ (1 << x)]) for x in points_from_mask(B1)]
         for B2 in members:
-            for x in points_from_mask(B1 & ~B2):
-                base = B1 ^ (1 << x)
-                if not any(
-                    (base | (1 << y)) in s.sets for y in points_from_mask(B2 & ~B1)
-                ):
+            for x, block in blocks:
+                if not B2 & block:
                     return AxiomReport(
                         "matroid-exchange",
                         False,

@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
@@ -126,8 +128,10 @@ class TestNuCommand:
         assert json.loads(out) == "9"
 
     def test_bad_k(self, capsys, parity5_file):
-        code, _, _ = run(capsys, "nu", str(parity5_file), "--k", "0")
+        code, out, err = run(capsys, "nu", str(parity5_file), "--k", "0")
         assert code == 2
+        # the library's ValueError, as one `error:` line
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestGreedoidCommand:
@@ -339,3 +343,75 @@ class TestParsing:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
+
+
+@contextmanager
+def _unlimited_digits():
+    # for building and reading the oversized files only; `main` runs under
+    # the default int/str digit limit and must lift it itself
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestOversizedAndMalformedInput:
+    """No input gives a traceback: exact answers or exit 2 with `error: ...`."""
+
+    def test_5000_digit_weight_exact(self, capsys, tmp_path):
+        big = 10**4999 + 7
+        path = tmp_path / "big.json"
+        with _unlimited_digits():
+            path.write_text(
+                '{"points": ["a", "b", "c"], "weights": [%d, "0", "1"], '
+                '"distances": [[], ["1"], ["1", "1"]]}' % big
+            )
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "greedy", str(path))
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit
+        with _unlimited_digits():
+            trace = json.loads(out)["traces"][0]
+            assert trace["points"] == ["a", "c", "b"]
+            assert trace["increments"] == [str(big), "2", "2"]
+            assert trace["prefix_perimeters"] == [str(big), str(big + 2), str(big + 4)]
+
+    def test_5000_digit_set_member_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "system.json"
+        with _unlimited_digits():
+            path.write_text('{"ground": 3, "sets": [[], [%d]]}' % (10**4999 + 7))
+        code, out, err = run(capsys, "greedoid", "--system", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "does not fit in ground size 3" in err
+
+    @pytest.mark.parametrize("ground", ["1e400", "2.5", "true", '"3"'])
+    def test_non_integer_ground_exit_2(self, capsys, tmp_path, ground):
+        path = tmp_path / "system.json"
+        path.write_text('{"ground": %s, "sets": []}' % ground)
+        code, out, err = run(capsys, "greedoid", "--system", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "ground must be an integer" in err
+
+    def test_large_denominators_exact(self, capsys, tmp_path):
+        weights = [Fraction(1, 10**2500 + k) for k in (1, 3, 7)]
+        path = tmp_path / "den.json"
+        with _unlimited_digits():
+            doc = {"points": ["a", "b", "c"], "weights": [str(w) for w in weights], "distances": [[], ["0"], ["0", "0"]]}
+            path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "greedy", str(path))
+        assert code == 0 and err == ""
+        with _unlimited_digits():
+            trace = json.loads(out)["traces"][0]
+            assert trace["points"] == ["a", "b", "c"]
+            assert [Fraction(x) for x in trace["increments"]] == weights
+            sums = [sum(weights[: i + 1]) for i in range(3)]
+            assert [Fraction(x) for x in trace["prefix_perimeters"]] == sums
+            assert len(trace["prefix_perimeters"][2]) > 4300
+
+    def test_deep_nesting_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run(capsys, "greedy", str(path))
+        assert code == 2 and "is not valid JSON" in err

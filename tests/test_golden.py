@@ -1,9 +1,12 @@
 """Byte-for-byte CLI stdout on three tiny instances.
 
 The expected outputs under tests/golden/ pin the exact stdout and exit code
-of the selection, increment and P-ordering subcommands, so a rewrite of the
-kernels behind them cannot change a single byte unnoticed.  `ties6` is an
-invalid, tie-heavy triple, so lowest-index tie-breaking is pinned too.
+of the selection, increment, greedoid and P-ordering subcommands, so a
+rewrite of the kernels behind them cannot change a single byte unnoticed.
+`ties6` is an invalid, tie-heavy triple, so lowest-index tie-breaking is
+pinned too, and its greedoid fails axioms (ii)-(iv) and two matroid levels,
+which pins the checkers' witnesses.  `planted5.system.json` is every subset
+of size <= 2 of five points plus two 3-sets sharing one point.
 
 Regenerate (only when an output change is intended) with
 
@@ -46,7 +49,10 @@ def _cases() -> list[tuple[str, list[str]]]:
             (f"{name}.greedy-subseq", ["greedy", path, "--mode", "subseq"]),
             (f"{name}.nu-k3", ["nu", path, "--k", "3"]),
             (f"{name}.nu-subseq-k4", ["nu", path, "--mode", "subseq", "--k", "4"]),
+            (f"{name}.greedoid-sets", ["greedoid", path, "--emit", "sets"]),
+            (f"{name}.greedoid-check", ["greedoid", path, "--emit", "check"]),
         ]
+    cases.append(("planted5.greedoid-system", ["greedoid", "--system", str(GOLDEN / "planted5.system.json")]))
     cases += [(f"pordering-{name}", ["pordering", *argv]) for name, argv in PORDERING]
     cases += [(f"pordering-check-{name}", ["pordering", *argv]) for name, argv in CHECKS]
     return cases

@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -54,6 +55,12 @@ class TestMasks:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             mask_from_points([-1])
+
+    def test_wide_sparse_mask(self):
+        # one step per member point: a far point must not cost a pass per bit
+        assert points_from_mask((1 << 10**7) | 5) == (0, 2, 10**7)
+        s = SetSystem.from_point_sets(10**7 + 1, [(), (10**7,)])
+        assert check_axiom_iv(s).holds and check_matroid_bases(level_sets(s, 1)).holds
 
 
 class TestSetSystem:
@@ -295,3 +302,92 @@ def test_hereditary_language_is_greedy_permutations(parity5):
                 if all(mask_from_points(seq[:k]) in s for k in range(m + 1))
             }
             assert greedy == feasible_words
+
+
+def _literal_reports(ground, families):
+    """Every axiom report straight from the definitions, on frozensets of points.
+
+    Members are visited by size, then by their largest points first (the
+    bitmask order the checkers promise), so the first failure found is the
+    witness the checkers must report.
+    """
+    S = {frozenset(f) for f in families}
+    order = sorted(S, key=lambda X: (len(X), sorted(X, reverse=True)))
+
+    def pts(X):
+        return tuple(sorted(X))
+
+    def first(failures, axiom):
+        return next(iter(failures), AxiomReport(axiom, True))
+
+    reports = [AxiomReport("i", True) if frozenset() in S else AxiomReport("i", False, {"missing": ()})]
+    reports.append(first(
+        (AxiomReport("ii", False, {"B": pts(B)}) for B in order if B and not any(B - {b} in S for b in B)),
+        "ii",
+    ))
+    pairs = [(A, B) for B in order for A in order if len(B) == len(A) + 1]
+    reports.append(first(
+        (AxiomReport("iii", False, {"A": pts(A), "B": pts(B)})
+         for A, B in pairs if not any(A | {b} in S for b in B - A)),
+        "iii",
+    ))
+    reports.append(first(
+        (AxiomReport("iv", False, {"A": pts(A), "B": pts(B)})
+         for A, B in pairs if not any(A | {x} in S and B - {x} in S for x in B - A)),
+        "iv",
+    ))
+    levels = []
+    for k in range(ground + 1):
+        bases = [X for X in order if len(X) == k]
+        if not bases:
+            levels.append(AxiomReport("matroid-exchange", False, {"empty": True}))
+            continue
+        levels.append(first(
+            (AxiomReport("matroid-exchange", False, {"B1": pts(B1), "B2": pts(B2), "x": x})
+             for B1 in bases for B2 in bases for x in sorted(B1 - B2)
+             if not any((B1 - {x}) | {y} in S for y in B2 - B1)),
+            "matroid-exchange",
+        ))
+    return reports, levels
+
+
+def _random_families(rng, ground):
+    """A family of one of three shapes: unstructured, a truncated Boolean
+    lattice with a few sets flipped, or a greedoid of a random triple with a
+    few sets flipped (flips break axioms near the top, where witnesses are
+    found last)."""
+    everything = [c for k in range(ground + 1) for c in combinations(range(ground), k)]
+    shape = rng.randrange(3)
+    if shape == 0:
+        return [c for c in everything if rng.random() < rng.random()]
+    if shape == 1:
+        rank = rng.randint(0, ground)
+        fams = {c for c in everything if len(c) <= rank}
+    else:
+        t = random_ultra_triple(rng.randrange(10**6), max(ground, 1))
+        fams = set(bhargava_greedoid(t).member_points())
+        ground = max(ground, 1)
+    for _ in range(rng.randint(0, 3)):
+        fams ^= {rng.choice(everything)}
+    return sorted(fams)
+
+
+def test_checkers_match_literal_definitions():
+    rng = random.Random(20190)
+    failed = {"i": 0, "ii": 0, "iii": 0, "iv": 0, "matroid-exchange": 0}
+    for _ in range(400):
+        ground = rng.randint(0, 6)
+        families = _random_families(rng, ground)
+        ground = max([ground] + [max(f) + 1 for f in families if f])
+        s = SetSystem.from_point_sets(ground, families)
+        reports, levels = _literal_reports(ground, families)
+        assert check_axiom_i(s) == reports[0]
+        assert check_axiom_ii(s) == reports[1]
+        assert check_axiom_iii(s) == reports[2]
+        assert check_axiom_iv(s) == reports[3]
+        for k, want in enumerate(levels):
+            assert check_matroid_bases(level_sets(s, k)) == want
+        for r in reports + levels:
+            failed[r.axiom] += not r.holds
+    # the sweep reaches failures of every axiom, not only passes
+    assert all(failed.values()), failed
