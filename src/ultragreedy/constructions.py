@@ -219,9 +219,7 @@ def eqrel_triple(h: EquivHierarchy, weights: Iterable | None = None) -> UltraTri
         last = max(i for i in range(len(ids)) if ids[i][a] == ids[i][b])
         return h.c[last]
 
-    labels = tuple(str(i) for i in range(n))
-    dist = tuple(tuple(pair_dist(i, j) for j in range(i)) for i in range(n))
-    return UltraTriple(labels, _weights(n, weights), dist)
+    return _triple_from_pairs(list(range(n)), pair_dist, weights)
 
 
 @dataclass(frozen=True)

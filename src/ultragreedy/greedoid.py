@@ -2,18 +2,23 @@
 
 For a valid triple, the sets that maximize perimeter within their own
 cardinality form a strong greedoid, and each cardinality level is the base
-collection of a matroid.  The checkers here take arbitrary set systems, so
-hand-built counterexamples can be analyzed with the same tooling; every
-failed axiom comes with a re-checkable witness.
+collection of a matroid.  `bhargava_greedoid` builds a valid triple's
+system by greedy closure on the shared gain-vector step of the greedy
+module, and an invalid one through the brute-force oracle.  The checkers
+here take arbitrary set systems, so hand-built counterexamples can be
+analyzed with the same tooling; every failed axiom comes with a
+re-checkable witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterable
 
-from .core import UltraTriple, perimeter_set, projections
+from .core import UltraTriple, perimeter_set, projections, validate
+from .greedy import _step
+from .oracle import brute_max_perimeter
 
 AXIOMS = ("i", "ii", "iii", "iv", "matroid-exchange")
 
@@ -35,6 +40,14 @@ def points_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _shown(value: object) -> str:
+    """repr(value), or the bit length of an int over 64 bits, whose digits
+    could fill a screen or pass the int/str digit limit."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"<{value.bit_length()}-bit integer>"
+    return repr(value)
+
+
 @dataclass(frozen=True)
 class SetSystem:
     """A family of subsets of {0..ground-1}, each stored as a bitmask."""
@@ -48,7 +61,7 @@ class SetSystem:
         sets = frozenset(self.sets)
         for mask in sets:
             if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0 or mask >> self.ground:
-                raise ValueError(f"mask {mask!r} does not fit in ground size {self.ground}")
+                raise ValueError(f"mask {_shown(mask)} does not fit in ground size {_shown(self.ground)}")
         object.__setattr__(self, "sets", sets)
 
     @classmethod
@@ -57,7 +70,7 @@ class SetSystem:
         for a in chain.from_iterable(families):
             # checked before shifting: a huge point would build a huge mask
             if not 0 <= a < ground:
-                raise ValueError(f"point {a!r} does not fit in ground size {ground}")
+                raise ValueError(f"point {_shown(a)} does not fit in ground size {_shown(ground)}")
         return cls(ground, frozenset(mask_from_points(s) for s in families))
 
     def members(self) -> list[int]:
@@ -92,24 +105,32 @@ class AxiomReport:
 def bhargava_greedoid(t: UltraTriple, cap: int = 16) -> SetSystem:
     """All subsets of maximum perimeter within their cardinality.
 
-    Brute force per level: every k-subset is scored and the argmax kept.
-    The exact rational comparisons make ties precise, which is the whole
-    point; `cap` bounds the ground size since the work is 2**n.
+    On a valid triple, level k+1 is exactly the maximum-gain one-point
+    extensions of level k: every greedy prefix has maximum perimeter, and
+    by axiom (ii) every maximum set is a greedy prefix.  So each member
+    keeps one gain vector and the work follows the output.  An invalid
+    triple goes to the brute-force oracle instead, level by level.  `cap`
+    bounds the ground size on both paths.
     """
     n = t.n
     if n > cap:
         raise ValueError(f"ground size {n} exceeds cap {cap}")
-    winners: set[int] = set()
-    for k in range(n + 1):
-        best = None
-        level: list[int] = []
-        for combo in combinations(range(n), k):
-            per = perimeter_set(t, combo)
-            if best is None or per > best:
-                best = per
-                level = [mask_from_points(combo)]
-            elif per == best:
-                level.append(mask_from_points(combo))
+    if not validate(t).ok:
+        levels = (brute_max_perimeter(t, range(n), k, cap).argmax for k in range(n + 1))
+        return SetSystem.from_point_sets(n, chain.from_iterable(levels))
+    level = {0: {x: t.weights[x] for x in range(n)}}
+    winners = set(level)
+    for _ in range(n):
+        best = max(next(iter(level.values())).values())
+        nxt = {}
+        for A, gains in level.items():
+            if max(gains.values()) != best:
+                raise RuntimeError(f"members of size {A.bit_count()} disagree on the maximum gain")
+            for x, g in gains.items():
+                B = A | 1 << x
+                if g == best and B not in nxt:
+                    nxt[B] = _step(t, gains, x, False)
+        level = nxt
         winners.update(level)
     return SetSystem(n, frozenset(winners))
 

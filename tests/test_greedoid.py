@@ -7,6 +7,7 @@ import pytest
 from ultragreedy import (
     AxiomReport,
     SetSystem,
+    UltraTriple,
     all_greedy_permutations,
     bhargava_greedoid,
     brute_max_perimeter,
@@ -17,12 +18,16 @@ from ultragreedy import (
     check_matroid_bases,
     constant_triple,
     exchange_element,
+    greedy_permutation,
     level_sets,
     mask_from_points,
+    padic_log_triple,
+    padic_triple,
     perimeter_set,
     points_from_mask,
     random_ultra_triple,
     strong_exchange_pair,
+    validate,
 )
 
 F = Fraction
@@ -73,6 +78,14 @@ class TestSetSystem:
         with pytest.raises(ValueError):
             system(2, [0, 2])
 
+    def test_huge_value_named_by_bit_length(self):
+        with pytest.raises(ValueError):
+            str(10**5000)  # past the int/str digit limit in force
+        with pytest.raises(ValueError, match="^point <16610-bit integer> does not fit in ground size 3$"):
+            system(3, [10**5000])
+        with pytest.raises(ValueError, match="^mask <20001-bit integer> does not fit in ground size 3$"):
+            SetSystem(3, frozenset({1 << 20000}))
+
     def test_members_sorted_by_size_then_mask(self):
         s = system(3, [2], [0, 1], [], [0])
         assert s.member_points() == [(), (0,), (2,), (0, 1)]
@@ -120,13 +133,44 @@ class TestBhargavaGreedoid:
         with pytest.raises(ValueError):
             bhargava_greedoid(parity5, cap=4)
 
-    def test_levels_match_brute_argmax(self, parity5, parity5_system):
-        for k in range(6):
-            want = {
-                mask_from_points(a)
-                for a in brute_max_perimeter(parity5, parity5.points(), k).argmax
-            }
-            assert set(level_sets(parity5_system, k).sets) == want
+    def test_levels_match_brute_argmax(self, parity5):
+        # valid triples take the greedy closure, invalid ones the oracle;
+        # the closure is wrong on about half of the invalid ones, so every
+        # level is compared with the brute-force argmax on both sides
+        rng = random.Random(1905)
+        valid = [parity5] + [random_ultra_triple(seed, rng.randint(1, 9)) for seed in range(12)]
+        valid += [padic_triple(range(n), p, [F(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(n)])
+                  for n, p in ((6, 2), (8, 3), (10, 2))]
+        valid += [constant_triple(n, [rng.randint(0, 1) for _ in range(n)]) for n in (5, 7, 9)]
+        valid += [padic_log_triple(range(n), p) for n, p in ((7, 2), (10, 3))]
+        assert all(validate(t).ok for t in valid)
+        invalid = []
+        while len(invalid) < 24:
+            n = rng.randint(3, 7)
+            dist = tuple(tuple(F(rng.randint(0, 3)) for _ in range(i)) for i in range(n))
+            weights = tuple(F(rng.randint(-1, 2)) for _ in range(n))
+            t = UltraTriple(tuple(map(str, range(n))), weights, dist)
+            if not validate(t).ok:
+                invalid.append(t)
+        for t in valid + invalid:
+            s = bhargava_greedoid(t)
+            assert s.ground == t.n
+            for k in range(t.n + 1):
+                want = {mask_from_points(a) for a in brute_max_perimeter(t, t.points(), k).argmax}
+                assert set(level_sets(s, k).sets) == want
+
+    def test_beyond_brute_reach(self):
+        # 2**16 subsets: the level sizes (7,586 members in all) are the
+        # brute-force counts, and each level's perimeter is the greedy prefix's
+        t = padic_triple(range(16), 2)
+        s = bhargava_greedoid(t)
+        sizes = [1, 16, 64, 256, 256, 1024, 1024, 1024, 256, 1024, 1024, 1024, 256, 256, 64, 16, 1]
+        assert [len(level_sets(s, k)) for k in range(17)] == sizes and len(s) == 7586
+        perimeters = (F(0),) + greedy_permutation(t, t.points(), 16).prefix_perimeters()
+        for k, per in enumerate(perimeters):
+            members = level_sets(s, k).members()
+            assert perimeter_set(t, points_from_mask(members[0])) == per
+            assert perimeter_set(t, points_from_mask(members[-1])) == per
 
 
 class TestAxiomCheckers:
