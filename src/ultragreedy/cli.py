@@ -158,7 +158,7 @@ def _resolve_subset(t: UltraTriple, arg: str | None) -> list[int]:
             out.append(t.index_of(part))
         except KeyError:
             raise InputError(f"unknown point label {part!r}") from None
-    return out
+    return list(dict.fromkeys(out))  # the library reads C as a set
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -328,11 +328,8 @@ def parse_tree_file(path: str) -> WeightedTree:
     edges: list[tuple[str, str, Fraction]] = []
     root = None
     leaves: tuple[str, ...] | None = None
-    vertices: list[str] = []
-
-    def note(v: str) -> None:
-        if v not in vertices:
-            vertices.append(v)
+    vertices: dict[str, None] = {}  # insertion-ordered set: first-seen order
+    note = vertices.setdefault
 
     for lineno, line in enumerate(lines, start=1):
         parts = line.split()

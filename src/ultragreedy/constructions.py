@@ -16,13 +16,9 @@ from .bhargava import _check_prime, _vp_int
 from .core import FullUltraTriple, UltraTriple, rational
 
 
-def _weights(n: int, weights: Iterable[int | str | Fraction] | None) -> tuple[Fraction, ...]:
-    if weights is None:
-        return (Fraction(0),) * n
-    out = tuple(rational(w) for w in weights)
-    if len(out) != n:
-        raise ValueError(f"expected {n} weights, got {len(out)}")
-    return out
+def _weights(n: int, weights: Iterable[int | str | Fraction] | None) -> Iterable:
+    # coerced and counted by UltraTriple
+    return (Fraction(0),) * n if weights is None else weights
 
 
 def _int_points(points: Iterable[int]) -> list[int]:

@@ -176,13 +176,7 @@ def validate(t: UltraTriple) -> ValidationReport:
 
 def perimeter_set(t: UltraTriple, A: Iterable[int]) -> Fraction:
     """Sum of weights of A plus all pairwise distances within A."""
-    pts = sorted(set(A))
-    total = Fraction(0)
-    for a in pts:
-        total += t.w(a)
-    for a, b in combinations(pts, 2):
-        total += t.d(a, b)
-    return total
+    return perimeter_tuple(t, sorted(set(A)))
 
 
 def perimeter_tuple(t: UltraTriple, entries: Sequence[int]) -> Fraction:

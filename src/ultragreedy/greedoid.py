@@ -69,6 +69,8 @@ class SetSystem:
         families = [tuple(f) for f in families]
         for a in chain.from_iterable(families):
             # checked before shifting: a huge point would build a huge mask
+            if not isinstance(a, int) or isinstance(a, bool):
+                raise ValueError(f"point {_shown(a)} is not an integer")
             if not 0 <= a < ground:
                 raise ValueError(f"point {_shown(a)} does not fit in ground size {_shown(ground)}")
         return cls(ground, frozenset(mask_from_points(s) for s in families))

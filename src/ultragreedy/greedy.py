@@ -5,7 +5,8 @@ C, each step maximizing the perimeter of the growing set; subsequences
 sample with replacement, so every point of C competes at every step and
 self-distances matter (full triples only).  The k-th perimeter increment of
 a greedy trace is independent of how ties were broken, which makes the
-`nu_bar`/`nu` invariants well-defined.
+`nu_bar`/`nu` invariants well-defined.  Every increment this module returns
+is computed by the engine; `extend_greedy` recomputes its prefix's too.
 """
 
 from __future__ import annotations
@@ -78,16 +79,20 @@ def _walk(
 
     Past seq each step takes the lowest-index point of maximum gain.  Returns
     the picks and their gains, or None as soon as an entry of seq has less
-    than the maximum gain.  Each step costs O(|pts|): one pass for the
-    maximum and one distance row added to the gain vector.
+    than the maximum gain.  An entry outside pts, a repeat in a permutation
+    and a step past the last candidate have no gain at all, so they too
+    give None.  Each step costs O(|pts|): one pass for the maximum and one
+    distance row added to the gain vector.
     """
     gains = {x: t.weights[x] for x in pts}
     chosen: list[int] = []
     increments: list[Fraction] = []
     for i in range(m):
+        if not gains:
+            return None
         top = max(gains, key=gains.__getitem__)
         c = seq[i] if i < len(seq) else top
-        if gains[c] != gains[top]:
+        if gains.get(c) != gains[top]:
             return None
         chosen.append(c)
         increments.append(gains[c])
@@ -112,17 +117,15 @@ def is_greedy_permutation(t: UltraTriple, C: Iterable[int], seq: Sequence[int]) 
     Step i compares the perimeter of the first i entries against swapping
     the i-th entry for any other point of C not used before step i.
     """
-    pts = _subset(t, C)
-    ptset = set(pts)
-    if len(set(seq)) != len(seq):
-        return False
-    if any(c not in ptset for c in seq):
-        return False
-    return _walk(t, pts, seq, len(seq), False) is not None
+    return _walk(t, _subset(t, C), seq, len(seq), False) is not None
 
 
 def extend_greedy(t: UltraTriple, C: Iterable[int], prefix: GreedyTrace, m: int) -> GreedyTrace:
-    """Extend a greedy trace to m points, staying greedy (lowest-index ties)."""
+    """Extend a greedy trace to m points, staying greedy (lowest-index ties).
+
+    Only the prefix's points are used: the walk recomputes every increment,
+    the prefix's own included.
+    """
     pts = _subset(t, C)
     if prefix.mode != "permutation":
         raise ValueError("only permutation traces can be extended here")
@@ -130,8 +133,7 @@ def extend_greedy(t: UltraTriple, C: Iterable[int], prefix: GreedyTrace, m: int)
         raise ValueError("prefix is not a greedy permutation of C")
     if not len(prefix) <= m <= len(pts):
         raise ValueError(f"need |prefix|={len(prefix)} <= m={m} <= |C|={len(pts)}")
-    chosen, increments = _walk(t, pts, prefix.points, m, False)
-    return GreedyTrace(chosen, prefix.increments + increments[len(prefix) :], "permutation")
+    return GreedyTrace(*_walk(t, pts, prefix.points, m, False), "permutation")
 
 
 def all_greedy_traces(t: UltraTriple, C: Iterable[int], m: int, cap: int = 10**6) -> tuple[GreedyTrace, ...]:
@@ -173,20 +175,15 @@ def all_greedy_permutations(
     return tuple(tr.points for tr in all_greedy_traces(t, C, m, cap))
 
 
-def nu_bar(t: UltraTriple, C: Iterable[int], k: int, trace: GreedyTrace | None = None) -> Fraction:
+def nu_bar(t: UltraTriple, C: Iterable[int], k: int) -> Fraction:
     """The k-th perimeter increment of any greedy permutation of C.
 
     Equal to max-perimeter(k) - max-perimeter(k-1); the greedy prefixes
-    realize both maxima, so one greedy run suffices.  A supplied greedy
-    trace is used directly instead of rerunning the selection.
+    realize both maxima, so one greedy run suffices.
     """
     pts = _subset(t, C)
     if not 1 <= k <= len(pts):
         raise ValueError(f"k={k} out of range 1..{len(pts)}")
-    if trace is not None:
-        if trace.mode != "permutation" or len(trace) < k:
-            raise ValueError("trace must be a greedy permutation of length >= k")
-        return trace.increments[k - 1]
     return greedy_permutation(t, pts, k).increments[k - 1]
 
 
@@ -211,24 +208,16 @@ def is_greedy_subsequence(t: FullUltraTriple, C: Iterable[int], seq: Sequence[in
     """Like is_greedy_permutation, but with repeats and all of C competing."""
     if not isinstance(t, FullUltraTriple):
         raise TypeError("greedy subsequences need a full triple (self-distances)")
-    pts = _subset(t, C)
-    ptset = set(pts)
-    if any(c not in ptset for c in seq):
-        return False
-    return _walk(t, pts, seq, len(seq), True) is not None
+    return _walk(t, _subset(t, C), seq, len(seq), True) is not None
 
 
-def nu(t: FullUltraTriple, C: Iterable[int], k: int, trace: GreedyTrace | None = None) -> Fraction:
+def nu(t: FullUltraTriple, C: Iterable[int], k: int) -> Fraction:
     """The k-th perimeter increment of any greedy subsequence of C."""
     pts = _subset(t, C)
     if not pts:
         raise ValueError("C must be nonempty")
     if k < 1:
         raise ValueError(f"k={k} must be at least 1")
-    if trace is not None:
-        if trace.mode != "subsequence" or len(trace) < k:
-            raise ValueError("trace must be a greedy subsequence of length >= k")
-        return trace.increments[k - 1]
     return greedy_subsequence(t, pts, k).increments[k - 1]
 
 
@@ -267,16 +256,12 @@ def nu_bar_inequality_check(
     the other entries among the first k.  The trace is assumed greedy, so
     its own k-th increment realizes the invariant.
     """
-    pts = _subset(t, C)
+    _subset(t, C)  # C is only checked: the trace is assumed greedy on it
     if not 1 <= j <= k <= len(trace):
         raise ValueError(f"need 1 <= j={j} <= k={k} <= {len(trace)}")
-    if trace.mode == "permutation":
-        target = nu_bar(t, pts, k, trace=trace)
-    else:
-        target = nu(t, pts, k, trace=trace)
     cj = trace.points[j - 1]
     rhs = t.w(cj)
     for i in range(1, k + 1):
         if i != j:
             rhs += t.d(trace.points[i - 1], cj)
-    return target <= rhs
+    return trace.increments[k - 1] <= rhs

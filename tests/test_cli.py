@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+import time
 from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
 from ultragreedy import bhargava_greedoid, is_pm_ordering, level_sets, points_from_mask
-from ultragreedy.cli import main
+from ultragreedy.cli import main, parse_tree_file
 
 
 def run(capsys, *args):
@@ -88,6 +89,11 @@ class TestGreedyCommand:
         code, out, _ = run(capsys, "greedy", str(parity5_file), "--subset", "1,3,5")
         assert code == 0
         assert len(json.loads(out)["traces"][0]["points"]) == 3
+
+    def test_repeated_subset_label_counted_once(self, capsys, parity5_file):
+        code, out, err = run(capsys, "greedy", str(parity5_file), "--subset", "1,3,1")
+        assert code == 0 and err == ""
+        assert run(capsys, "greedy", str(parity5_file), "--subset", "1,3") == (0, out, "")
 
     def test_unknown_label(self, capsys, parity5_file):
         code, _, err = run(capsys, "greedy", str(parity5_file), "--subset", "9")
@@ -283,6 +289,15 @@ class TestTreeCommand:
         assert doc["points"] == ["a", "b"]
         assert doc["distances"][1] == ["-2"]
 
+    def test_long_path_parses_in_linear_time(self, tmp_path):
+        n = 20_000
+        tree = tmp_path / "path.txt"
+        tree.write_text("root v0\n" + "".join(f"v{i} v{i + 1} 1\n" for i in range(n - 1)))
+        start = time.perf_counter()
+        parsed = parse_tree_file(str(tree))
+        assert time.perf_counter() - start < 1.0
+        assert parsed.vertices == tuple(f"v{i}" for i in range(n))
+
 
 class TestPorderingCommand:
     def test_ordering_self_checks(self, capsys):
@@ -393,6 +408,15 @@ class TestOversizedAndMalformedInput:
         code, out, err = run(capsys, "greedoid", "--system", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "ground must be an integer" in err
+
+    @pytest.mark.parametrize("member, shown", [("true", "True"), ("1.0", "1.0"), ('"1"', "'1'")])
+    def test_non_integer_set_member_exit_2(self, capsys, tmp_path, member, shown):
+        path = tmp_path / "system.json"
+        path.write_text('{"ground": 3, "sets": [[], [%s]]}' % member)
+        code, out, err = run(capsys, "greedoid", "--system", str(path), "--emit", "check")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"point {shown} is not an integer" in err
 
     def test_large_denominators_exact(self, capsys, tmp_path):
         weights = [Fraction(1, 10**2500 + k) for k in (1, 3, 7)]

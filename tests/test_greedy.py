@@ -109,6 +109,9 @@ class TestIsGreedyPermutation:
     def test_outside_candidates_rejected(self, parity5):
         assert not is_greedy_permutation(parity5, [0, 1], (0, 2))
 
+    def test_longer_than_candidates_rejected(self, parity5):
+        assert not is_greedy_permutation(parity5, [0, 1], (0, 1, 0))
+
 
 class TestExtendGreedy:
     def test_empty_prefix_matches_direct_run(self, parity5):
@@ -132,6 +135,13 @@ class TestExtendGreedy:
         bogus = GreedyTrace((0, 2), (F(0), F(1)), "permutation")
         with pytest.raises(ValueError):
             extend_greedy(parity5, parity5.points(), bogus, 5)
+
+    def test_prefix_increments_recomputed(self, parity5):
+        # a greedy prefix carrying made-up increments: only its points count
+        fabricated = GreedyTrace((0, 1), (F(100), F(200)), "permutation")
+        tr = extend_greedy(parity5, parity5.points(), fabricated, 4)
+        assert tr == greedy_permutation(parity5, parity5.points(), 4)
+        assert tr.increments == (F(0), F(2), F(3), F(5))
 
 
 class TestAllGreedyPermutations:
@@ -226,6 +236,9 @@ class TestGreedySubsequence:
 class TestIsGreedySubsequence:
     def test_empty_true(self, parity5_full):
         assert is_greedy_subsequence(parity5_full, parity5_full.points(), ())
+
+    def test_no_candidates_rejects_any_entry(self, parity5_full):
+        assert not is_greedy_subsequence(parity5_full, [], (0,))
 
     def test_singleton_weight_comparison(self):
         base = random_ultra_triple(21, 5)
