@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 Rational = Fraction
@@ -150,28 +150,94 @@ class ValidationReport:
             raise ValueError("ok must equal 'violations is empty'")
 
 
+def _rows(t: UltraTriple) -> list[list]:
+    """Symmetric distance rows; the diagonal holds None (plain) or selfdist (full)."""
+    dist, n = t.dist, t.n
+    diag = t.selfdist if isinstance(t, FullUltraTriple) else (None,) * n
+    rows = [[*row, diag[i]] for i, row in enumerate(dist)]
+    for j in range(n):
+        for i, x in enumerate(dist[j]):
+            rows[i].append(x)
+    return rows
+
+
+def _mst_edges(rows: list[list]) -> list[tuple]:
+    """Prim's algorithm on the dense table: n - 1 tree edges (weight, a, b)."""
+    n = len(rows)
+    if n < 2:
+        return []
+    best, link = list(rows[0]), [0] * n
+    rest = list(range(1, n))
+    edges = []
+    while rest:
+        v = min(rest, key=best.__getitem__)
+        rest.remove(v)
+        edges.append((best[v], link[v], v))
+        row = rows[v]
+        for x in rest:
+            if row[x] < best[x]:
+                best[x], link[x] = row[x], v
+    return edges
+
+
+def _bad_pairs(rows: list[list]) -> list[tuple[int, int]]:
+    """Every pair (p, q), p < q, with d(p, q) above its subdominant distance.
+
+    Merging clusters along the tree edges in increasing order (single
+    linkage) joins each pair exactly once, at u(p, q), the largest edge on
+    its tree path: O(n**2) in total.
+    """
+    n = len(rows)
+    members, root = [[i] for i in range(n)], list(range(n))
+    bad = []
+    for w, a, b in sorted(_mst_edges(rows)):
+        ra, rb = root[a], root[b]
+        if len(members[ra]) < len(members[rb]):
+            ra, rb = rb, ra
+        for p in members[ra]:
+            row = rows[p]
+            for q in members[rb]:
+                if row[q] > w:
+                    bad.append((p, q) if p < q else (q, p))
+        for q in members[rb]:
+            root[q] = ra
+        members[ra] += members[rb]
+    return bad
+
+
 def validate(t: UltraTriple) -> ValidationReport:
     """Check the ultrametric inequality on every triple of points.
 
     Plain triples are checked over distinct points only; full triples over
     all (possibly equal) points.  Never raises on bad geometry: every
-    violated inequality is reported once, with its two sides.
+    violated inequality is reported once, with its two sides, in the order
+    of the literal O(n**3) scan `oracle.brute_validate`: by sorted point
+    triple, then by (p, q, r).
+
+    Cost O(n**2 + b*n) for b bad pairs.  The subdominant ultrametric u(p, q),
+    the largest edge on the p-q path of a minimum spanning tree, is the
+    largest ultrametric below d.  A violation therefore has
+    d(p, q) > max(d(p, r), d(q, r)) >= max(u(p, r), u(q, r)) >= u(p, q),
+    so only a bad pair, d(p, q) > u(p, q), can be its left-hand side, and
+    only bad pairs are scanned against every third point.  With repeated
+    points only (p, p, r) can fail, when selfdist(p) > d(p, r).
     """
-    full = isinstance(t, FullUltraTriple)
-    if full:
-        candidates = combinations_with_replacement(t.points(), 3)
-    else:
-        candidates = combinations(t.points(), 3)
-    violations: list[Violation] = []
-    for x, y, z in candidates:
-        # each unordered choice of the left-hand pair, deduplicated when
-        # the three points are not distinct
-        for p, q, r in sorted({(x, y, z), (x, z, y), (y, z, x)}):
-            lhs = t.d(p, q)
-            rhs = max(t.d(p, r), t.d(q, r))
-            if lhs > rhs:
-                violations.append(Violation((p, q, r), lhs, rhs))
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    rows = _rows(t)
+    found: list[Violation] = []
+    for p, q in _bad_pairs(rows):
+        P, Q = rows[p], rows[q]
+        lhs = P[q]
+        for r in range(t.n):
+            if r != p and r != q and lhs > P[r] and lhs > Q[r]:
+                found.append(Violation((p, q, r), lhs, max(P[r], Q[r])))
+    if isinstance(t, FullUltraTriple):
+        for p, row in enumerate(rows):
+            s = row[p]  # at r = p, x is s itself and cannot exceed it
+            for r, x in enumerate(row):
+                if s > x:
+                    found.append(Violation((p, p, r), s, x))
+    found.sort(key=lambda v: (sorted(v.points), v.points))
+    return ValidationReport(ok=not found, violations=tuple(found))
 
 
 def perimeter_set(t: UltraTriple, A: Iterable[int]) -> Fraction:

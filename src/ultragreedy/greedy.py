@@ -79,10 +79,11 @@ def _walk(
 
     Past seq each step takes the lowest-index point of maximum gain.  Returns
     the picks and their gains, or None as soon as an entry of seq has less
-    than the maximum gain.  An entry outside pts, a repeat in a permutation
-    and a step past the last candidate have no gain at all, so they too
-    give None.  Each step costs O(|pts|): one pass for the maximum and one
-    distance row added to the gain vector.
+    than the maximum gain.  An entry outside pts, an entry that is not an
+    int (True, 0.0 and "0" included), a repeat in a permutation and a step
+    past the last candidate have no gain at all, so they too give None.
+    Each step costs O(|pts|): one pass for the maximum and one distance row
+    added to the gain vector.
     """
     gains = {x: t.weights[x] for x in pts}
     chosen: list[int] = []
@@ -92,7 +93,7 @@ def _walk(
             return None
         top = max(gains, key=gains.__getitem__)
         c = seq[i] if i < len(seq) else top
-        if gains.get(c) != gains[top]:
+        if type(c) is not int or gains.get(c) != gains[top]:
             return None
         chosen.append(c)
         increments.append(gains[c])

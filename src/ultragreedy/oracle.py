@@ -1,8 +1,9 @@
 """Brute-force reference implementations.
 
 Everything here enumerates candidates outright and scores them with the
-core perimeter functions only; none of the incremental bookkeeping of the
-greedy module is shared, so agreement between the two is evidence, not
+core perimeter functions or raw distances only; none of the incremental
+bookkeeping of the greedy module, nor the spanning tree behind
+`core.validate`, is shared, so agreement between the two is evidence, not
 tautology.  Caps are hard errors, never silent truncation.
 """
 
@@ -11,11 +12,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Iterable
 
 from .constructions import EquivHierarchy, eqrel_triple
-from .core import FullUltraTriple, UltraTriple, _subset, perimeter_set, perimeter_tuple
+from .core import (
+    FullUltraTriple,
+    UltraTriple,
+    ValidationReport,
+    Violation,
+    _subset,
+    perimeter_set,
+    perimeter_tuple,
+)
 
 
 @dataclass(frozen=True)
@@ -24,6 +33,30 @@ class MaxResult:
 
     value: Fraction
     argmax: tuple
+
+
+def brute_validate(t: UltraTriple) -> ValidationReport:
+    """Check the ultrametric inequality on every triple of points, literally.
+
+    Plain triples are checked over distinct points only; full triples over
+    all (possibly equal) points.  O(n**3); `core.validate` must return the
+    same report.
+    """
+    full = isinstance(t, FullUltraTriple)
+    if full:
+        candidates = combinations_with_replacement(t.points(), 3)
+    else:
+        candidates = combinations(t.points(), 3)
+    violations: list[Violation] = []
+    for x, y, z in candidates:
+        # each unordered choice of the left-hand pair, deduplicated when
+        # the three points are not distinct
+        for p, q, r in sorted({(x, y, z), (x, z, y), (y, z, x)}):
+            lhs = t.d(p, q)
+            rhs = max(t.d(p, r), t.d(q, r))
+            if lhs > rhs:
+                violations.append(Violation((p, q, r), lhs, rhs))
+    return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 def brute_max_perimeter(t: UltraTriple, C: Iterable[int], k: int, cap: int = 20) -> MaxResult:

@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -6,11 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultragreedy import (
+    EquivHierarchy,
     FullUltraTriple,
     UltraTriple,
     ValidationReport,
     Violation,
+    brute_validate,
+    constant_triple,
+    eqrel_triple,
     mod_triple,
+    padic_log_triple,
+    padic_triple,
     perimeter_set,
     perimeter_tuple,
     projections,
@@ -140,6 +148,93 @@ class TestValidate:
             ValidationReport(True, (bad,))
         with pytest.raises(ValueError):
             ValidationReport(False, ())
+
+
+def _with_dist(t, dist, selfdist=None):
+    if selfdist is None:
+        return UltraTriple(t.labels, t.weights, tuple(map(tuple, dist)))
+    return FullUltraTriple(t.labels, t.weights, tuple(map(tuple, dist)), tuple(selfdist))
+
+
+def _perturbed(rng, t, moves):
+    """t with `moves` random pair distances shifted by a small amount."""
+    dist = [list(row) for row in t.dist]
+    for _ in range(moves if t.n >= 2 else 0):
+        a = rng.randrange(1, t.n)
+        dist[a][rng.randrange(a)] += F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+    return _with_dist(t, dist)
+
+
+def _validate_sweep():
+    """Seeded triples, valid and invalid, plain and full, for the scan check."""
+    rng = random.Random(7)
+    cases = [UltraTriple((), (), ())]
+    for seed in range(240):
+        n = 1 + seed % 9
+        cases.append(_perturbed(rng, random_ultra_triple(seed, n), rng.randint(0, 3)))
+    for n in (2, 5, 8):
+        cases += [constant_triple(n), _perturbed(rng, constant_triple(n), 2)]
+    for n in (3, 6, 9):
+        t = padic_log_triple(range(n), 2)  # negative distances
+        cases += [t, _perturbed(rng, t, 2)]
+    # full triples: self-distances just below, at and above the smallest distance
+    for base in cases[1:80]:
+        low = min((x for row in base.dist for x in row), default=F(0))
+        for shift in (F(-1, 4), F(0), F(1, 4)):
+            cases.append(_with_dist(base, base.dist, [low + shift] * base.n))
+        cases.append(_with_dist(base, base.dist, [low + rng.choice((-1, 0, 1)) for _ in range(base.n)]))
+    # three disjoint pairs near n = 30, raised above everything or to a middling distance
+    for seed in range(6):
+        t = padic_triple(rng.sample(range(10**4), 28 + seed % 3), 2)
+        dists = sorted({x for row in t.dist for x in row})
+        dist = [list(row) for row in t.dist]
+        chosen = rng.sample(range(t.n), 6)
+        for p, q in zip(chosen[::2], chosen[1::2]):
+            dist[max(p, q)][min(p, q)] = dists[-1] + 1 if seed % 2 else dists[len(dists) // 2]
+        cases.append(_with_dist(t, dist))
+    return cases
+
+
+def test_validate_matches_brute_scan():
+    invalid = selfdist_violating = 0
+    for t in _validate_sweep():
+        report = validate(t)
+        assert report == brute_validate(t), t
+        invalid += not report.ok
+        selfdist_violating += any(v.points[0] == v.points[1] for v in report.violations)
+    assert invalid >= 100 and selfdist_violating >= 50
+
+
+class TestValidateScaling:
+    """300 points: the O(n**3) scan would need minutes."""
+
+    @staticmethod
+    def hierarchy():
+        n = 300
+        levels = [[range(n)]] + [[range(i, min(i + size, n)) for i in range(0, n, size)] for size in (60, 12, 3, 1)]
+        return eqrel_triple(EquivHierarchy(levels, (F(9, 2), 3, F(5, 3), 1)))
+
+    def test_valid_hierarchy(self):
+        t = self.hierarchy()
+        start = time.perf_counter()
+        report = validate(t)
+        assert time.perf_counter() - start < 3.0
+        assert report.ok
+
+    def test_planted_pairs(self):
+        t = self.hierarchy()
+        planted = [(0, 150), (1, 299), (7, 8)]
+        dist = [list(row) for row in t.dist]
+        for p, q in planted:
+            dist[q][p] = F(5)
+        bad = _with_dist(t, dist)
+        start = time.perf_counter()
+        report = validate(bad)
+        assert time.perf_counter() - start < 3.0
+        want = {(p, q, r) for p, q in planted for r in range(t.n) if r not in (p, q)}
+        assert len(report.violations) == 3 * 298
+        assert {v.points for v in report.violations} == want
+        assert all(v.lhs == 5 and v.rhs < 5 for v in report.violations)
 
 
 class TestPerimeterSet:

@@ -3,9 +3,10 @@
 The expected outputs under tests/golden/ pin the exact stdout and exit code
 of the selection, increment, greedoid and P-ordering subcommands, so a
 rewrite of the kernels behind them cannot change a single byte unnoticed.
-`ties6` is an invalid, tie-heavy triple, so lowest-index tie-breaking is
-pinned too, and its greedoid fails axioms (ii)-(iv) and two matroid levels,
-which pins the checkers' witnesses.  `planted5.system.json` is every subset
+`ties6` is an invalid, tie-heavy full triple, so lowest-index tie-breaking
+is pinned too; its greedoid fails axioms (ii)-(iv) and two matroid levels,
+which pins the checkers' witnesses, and its `validate` report lists
+self-distance violations (b, b, a) and exits 1.  `planted5.system.json` is every subset
 of size <= 2 of five points plus two 3-sets sharing one point.
 
 Regenerate (only when an output change is intended) with
@@ -51,6 +52,7 @@ def _cases() -> list[tuple[str, list[str]]]:
             (f"{name}.nu-subseq-k4", ["nu", path, "--mode", "subseq", "--k", "4"]),
             (f"{name}.greedoid-sets", ["greedoid", path, "--emit", "sets"]),
             (f"{name}.greedoid-check", ["greedoid", path, "--emit", "check"]),
+            (f"{name}.validate", ["validate", path]),
         ]
     cases.append(("planted5.greedoid-system", ["greedoid", "--system", str(GOLDEN / "planted5.system.json")]))
     cases += [(f"pordering-{name}", ["pordering", *argv]) for name, argv in PORDERING]

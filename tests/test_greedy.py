@@ -112,6 +112,11 @@ class TestIsGreedyPermutation:
     def test_longer_than_candidates_rejected(self, parity5):
         assert not is_greedy_permutation(parity5, [0, 1], (0, 1, 0))
 
+    @pytest.mark.parametrize("seq", [(False, True), (0, True), (0.0,), (0.0, 1), ("0",), (0, "1")])
+    def test_non_int_entries_rejected(self, parity5, seq):
+        # True == 1 and 0.0 == 0 as dict keys, but no point is a bool or a float
+        assert not is_greedy_permutation(parity5, [0, 1], seq)
+
 
 class TestExtendGreedy:
     def test_empty_prefix_matches_direct_run(self, parity5):
@@ -135,6 +140,12 @@ class TestExtendGreedy:
         bogus = GreedyTrace((0, 2), (F(0), F(1)), "permutation")
         with pytest.raises(ValueError):
             extend_greedy(parity5, parity5.points(), bogus, 5)
+
+    @pytest.mark.parametrize("entry", [True, 0.0, "0"])
+    def test_non_int_prefix_rejected(self, parity5, entry):
+        bogus = GreedyTrace((entry,), (F(0),), "permutation")
+        with pytest.raises(ValueError, match="prefix is not a greedy permutation"):
+            extend_greedy(parity5, parity5.points(), bogus, 3)
 
     def test_prefix_increments_recomputed(self, parity5):
         # a greedy prefix carrying made-up increments: only its points count
@@ -239,6 +250,10 @@ class TestIsGreedySubsequence:
 
     def test_no_candidates_rejects_any_entry(self, parity5_full):
         assert not is_greedy_subsequence(parity5_full, [], (0,))
+
+    @pytest.mark.parametrize("entry", [True, 0.0, "0"])
+    def test_non_int_entry_rejected(self, parity5_full, entry):
+        assert not is_greedy_subsequence(parity5_full, parity5_full.points(), (entry,))
 
     def test_singleton_weight_comparison(self):
         base = random_ultra_triple(21, 5)
