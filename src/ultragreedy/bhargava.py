@@ -10,7 +10,6 @@ agree verdict-for-verdict.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .greedy import is_greedy_permutation
@@ -33,9 +32,6 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p={p!r} is not a prime")
 
 
-# bounded for long-lived processes; 2**15 entries hold every difference that
-# a 300-integer pool ordered to m = 60 looks up (at most 18,000)
-@lru_cache(maxsize=1 << 15)
 def _vp_int(p: int, x: int) -> int | float:
     """Exponent of p in x, math.inf for x = 0.  Assumes p already prime-checked."""
     if x == 0:
@@ -58,6 +54,15 @@ def vp(p: int, x: int) -> int | float:
     if not isinstance(x, int) or isinstance(x, bool):
         raise TypeError(f"expected an integer, got {x!r}")
     return _vp_int(p, x)
+
+
+def _pool(E: Iterable[int]) -> list[int]:
+    """The distinct integers of E in increasing order."""
+    pts = list(E)
+    for x in pts:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise TypeError(f"points must be integers, got {x!r}")
+    return sorted(set(pts))
 
 
 def _pm_walk(pool: list[int], p: int, seq: Sequence[int], m: int) -> list[int] | None:
@@ -90,7 +95,7 @@ def pm_ordering(E: Iterable[int], p: int, m: int) -> list[int]:
     selection keeps running and repeats per the same tie-break.
     """
     _check_prime(p)
-    pool = sorted(set(E))
+    pool = _pool(E)
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > 0 and not pool:
@@ -99,11 +104,15 @@ def pm_ordering(E: Iterable[int], p: int, m: int) -> list[int]:
 
 
 def is_pm_ordering(E: Iterable[int], p: int, seq: Sequence[int]) -> bool:
-    """Whether each entry minimizes the difference-product valuation over E."""
+    """Whether each entry minimizes the difference-product valuation over E.
+
+    An entry that is not an int (True and 1.0 included) has no valuation, so
+    the verdict is False.
+    """
     _check_prime(p)
-    pool = sorted(set(E))
-    poolset = set(pool)
-    if any(c not in poolset for c in seq):
+    pool = _pool(E)
+    members = set(pool)
+    if any(type(c) is not int or c not in members for c in seq):
         return False
     return _pm_walk(pool, p, seq, len(seq)) is not None
 
@@ -119,11 +128,12 @@ def check_equivalence(E: Iterable[int], p: int, seq: Sequence[int]) -> bool:
     from .constructions import padic_log_triple
 
     _check_prime(p)
-    pool = sorted(set(E))
+    pool = _pool(E)
+    members = set(pool)
     entries = list(seq)
     if len(set(entries)) != len(entries):
         raise ValueError("sequence entries must be distinct")
-    if any(c not in set(pool) for c in entries):
+    if any(type(c) is not int or c not in members for c in entries):
         raise ValueError("sequence entries must lie in E")
     verdict_pm = is_pm_ordering(pool, p, entries)
     t = padic_log_triple(pool, p)

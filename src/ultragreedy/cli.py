@@ -6,23 +6,23 @@ making asymmetric input unrepresentable.  Every subcommand prints JSON to
 stdout (or --out) and logs to stderr.  Exit codes: 0 success or property
 holds, 1 property fails, 2 usage or parse error.
 
-The environment variable ULTRAGREEDY_CAP (an integer) overrides the default
-enumeration limits: the validate point cap (64), the greedoid ground cap
-(16), and the tie-enumeration sequence cap (10**6).  A --cap flag on the
-relevant subcommands overrides both.
+A rational string is an integer or "p/q" with surrounding whitespace
+trimmed: decimal digits, a minus sign only in front, and an unsigned
+denominator.  Each enumerating subcommand takes its limit from --cap alone:
+validate 64 points, greedy --ties all 10**6 sequences, greedoid 16 ground
+elements.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .bhargava import check_equivalence, is_pm_ordering, pm_ordering
+from .bhargava import is_pm_ordering, pm_ordering
 from .constructions import (
     WeightedTree,
     constant_triple,
@@ -47,51 +47,41 @@ from .greedoid import (
 from .greedy import GreedyTrace, all_greedy_traces, greedy_permutation, greedy_subsequence, nu, nu_bar
 from .oracle import random_ultra_triple
 
-ENV_CAP = "ULTRAGREEDY_CAP"
-
 
 class InputError(Exception):
     """Anything wrong with arguments or input files; maps to exit code 2."""
 
 
-def _env_cap(fallback: int) -> int:
-    raw = os.environ.get(ENV_CAP)
-    if raw is None:
-        return fallback
+_RATIONAL_FORM = re.compile(r"(-?\d+)(?:/(\d+))?")
+
+
+def _rational(value: str | int, what: str) -> Fraction:
     try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
-
-
-def _cap(args: argparse.Namespace, fallback: int) -> int:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    return _env_cap(fallback)
-
-
-_RATIONAL_FORM = re.compile(r"-?\d+(/-?\d+)?")
-
-
-def _rational(text: str | int, what: str) -> Fraction:
-    # File format carries "p/q" or integer strings only; no decimals or exponents.
-    if isinstance(text, str) and not _RATIONAL_FORM.fullmatch(text.strip()):
-        raise InputError(f"bad rational in {what}: {text!r} is not p/q or integer")
-    try:
-        return rational(text)
+        if not isinstance(value, str):
+            return rational(value)  # a JSON number: floats and bools are refused
+        match = _RATIONAL_FORM.fullmatch(value.strip())
+        if match is not None:
+            num, den = match.groups()
+            return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational in {what}: {exc}") from None
+    raise InputError(f"bad rational in {what}: {value!r} is not p/q or integer")
+
+
+def _split(text: str) -> list[str]:
+    """The non-blank parts of a comma-separated list, as given: messages quote them."""
+    return [part for part in str(text).split(",") if part.strip() != ""]
 
 
 def _int_list(text: str, what: str) -> list[int]:
     try:
-        return [int(part) for part in str(text).split(",") if part.strip() != ""]
+        return [int(part) for part in _split(text)]
     except ValueError:
         raise InputError(f"{what} must be comma-separated integers, got {text!r}") from None
 
 
 def _rational_list(text: str, what: str) -> list[Fraction]:
-    return [_rational(part, what) for part in str(text).split(",") if part.strip() != ""]
+    return [_rational(part, what) for part in _split(text)]
 
 
 def _load_json(path: str) -> object:
@@ -150,14 +140,12 @@ def _resolve_subset(t: UltraTriple, arg: str | None) -> list[int]:
     if arg is None:
         return list(t.points())
     out = []
-    for part in str(arg).split(","):
-        part = part.strip()
-        if part == "":
-            continue
+    for part in _split(arg):
+        label = part.strip()
         try:
-            out.append(t.index_of(part))
+            out.append(t.index_of(label))
         except KeyError:
-            raise InputError(f"unknown point label {part!r}") from None
+            raise InputError(f"unknown point label {label!r}") from None
     return list(dict.fromkeys(out))  # the library reads C as a set
 
 
@@ -180,9 +168,8 @@ def _trace_document(t: UltraTriple, trace: GreedyTrace) -> dict:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     t = read_instance(args.instance)
-    cap = _cap(args, 64)
-    if t.n > cap:
-        raise InputError(f"{t.n} points exceed the validate cap {cap}")
+    if t.n > args.cap:
+        raise InputError(f"{t.n} points exceed the validate cap {args.cap}")
     report = validate(t)
     doc = {
         "ok": report.ok,
@@ -212,7 +199,7 @@ def cmd_greedy(args: argparse.Namespace) -> int:
         mode = "subsequence"
     else:
         if args.ties == "all":
-            traces = all_greedy_traces(t, pts, m, cap=_cap(args, 10**6))
+            traces = all_greedy_traces(t, pts, m, cap=args.cap)
         else:
             traces = [greedy_permutation(t, pts, m)]
         mode = "permutation"
@@ -259,7 +246,7 @@ def cmd_greedoid(args: argparse.Namespace) -> int:
         s = read_set_system(args.system)
     else:
         t = read_instance(args.instance)
-        s = bhargava_greedoid(t, cap=_cap(args, 16))
+        s = bhargava_greedoid(t, cap=args.cap)
         labels = list(t.labels)
     if args.emit == "sets":
         levels = []
@@ -343,7 +330,7 @@ def parse_tree_file(path: str) -> WeightedTree:
         elif parts[0] == "leaves":
             if len(parts) != 2:
                 raise InputError(f"{path}:{lineno}: leaves line needs a comma-separated list")
-            leaves = tuple(x for x in parts[1].split(",") if x != "")
+            leaves = tuple(_split(parts[1]))
             for v in leaves:
                 note(v)
         elif len(parts) == 3:
@@ -372,11 +359,7 @@ def cmd_pordering(args: argparse.Namespace) -> int:
     if not points:
         raise InputError("--points must name at least one integer")
     if args.check is not None:
-        seq = _int_list(args.check, "--check")
-        if len(set(seq)) == len(seq) and set(seq) <= set(points):
-            verdict = check_equivalence(points, args.p, seq)
-        else:
-            verdict = is_pm_ordering(points, args.p, seq)
+        verdict = is_pm_ordering(points, args.p, _int_list(args.check, "--check"))
         _emit(json.dumps(verdict), args.out)
         return 0 if verdict else 1
     m = len(points) if args.m is None else args.m
@@ -392,16 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
             "Greedy maximum-perimeter analysis of weighted point sets with "
             "ultrametric distances"
         ),
-        epilog=(
-            f"The {ENV_CAP} environment variable (integer) overrides default "
-            "enumeration caps; a --cap flag wins over both."
-        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the ultrametric inequality of an instance")
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, help="maximum point count (default 64)")
+    p.add_argument("--cap", type=int, default=64, help="maximum point count (default: %(default)s)")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_validate)
 
@@ -411,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="selection length (default: subset size)")
     p.add_argument("--mode", choices=("perm", "subseq"), default="perm")
     p.add_argument("--ties", choices=("first", "all"), default="first")
-    p.add_argument("--cap", type=int, help="enumeration cap for --ties all (default 10**6)")
+    p.add_argument("--cap", type=int, default=10**6, help="enumeration cap for --ties all (default: %(default)s)")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_greedy)
 
@@ -427,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", nargs="?")
     p.add_argument("--system", help="check a set-system JSON file instead of an instance")
     p.add_argument("--emit", choices=("sets", "check"), default="check")
-    p.add_argument("--cap", type=int, help="ground-size cap for materialization (default 16)")
+    p.add_argument("--cap", type=int, default=16, help="ground-size cap for materialization (default: %(default)s)")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_greedoid)
 

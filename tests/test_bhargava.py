@@ -70,6 +70,13 @@ class TestPmOrdering:
             assert len(set(seq)) == len(seq)
             assert set(seq) == set(E)
 
+    @pytest.mark.parametrize("E", [[0, 1.5, 2], [True, 3]])
+    def test_non_integer_points_rejected(self, E):
+        with pytest.raises(TypeError, match="points must be integers"):
+            pm_ordering(E, 2, 2)
+        with pytest.raises(TypeError, match="points must be integers"):
+            is_pm_ordering(E, 2, ())
+
     def test_errors(self):
         with pytest.raises(ValueError):
             pm_ordering([], 2, 1)
@@ -91,6 +98,10 @@ class TestIsPmOrdering:
 
     def test_non_member_fails(self):
         assert not is_pm_ordering([0, 1], 2, (5,))
+
+    @pytest.mark.parametrize("seq", [(True, 0), (1.0, 0)])
+    def test_non_integer_entry_fails(self, seq):
+        assert not is_pm_ordering([0, 1, 2], 2, seq)
 
     def test_roundtrip(self):
         rng = random.Random(3)
@@ -123,6 +134,11 @@ class TestCheckEquivalence:
     def test_non_member_rejected(self):
         with pytest.raises(ValueError):
             check_equivalence([0, 1], 2, (9,))
+
+    @pytest.mark.parametrize("seq", [(True, 0), (1.0, 0)])
+    def test_non_integer_entry_rejected(self, seq):
+        with pytest.raises(ValueError, match="must lie in E"):
+            check_equivalence([0, 1, 2], 2, seq)
 
 
 def _product_valuation(p, x, prefix):

@@ -326,21 +326,45 @@ class TestPorderingCommand:
         assert code == 2
 
 
-class TestEnvCap:
-    def test_env_cap_applies(self, capsys, parity5_file, monkeypatch):
-        monkeypatch.setenv("ULTRAGREEDY_CAP", "3")
-        code, _, _ = run(capsys, "validate", str(parity5_file))
-        assert code == 2
+class TestCaps:
+    @pytest.mark.parametrize("command, default", [("validate", 64), ("greedy", 10**6), ("greedoid", 16)])
+    def test_default_shown_in_help(self, capsys, command, default):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and f"(default: {default})" in " ".join(out.split())
 
-    def test_flag_beats_env(self, capsys, parity5_file, monkeypatch):
-        monkeypatch.setenv("ULTRAGREEDY_CAP", "3")
-        code, _, _ = run(capsys, "validate", str(parity5_file), "--cap", "10")
-        assert code == 0
+    def test_environment_does_not_set_caps(self, capsys, parity5_file, monkeypatch):
+        jobs = (["validate", str(parity5_file)], ["greedoid", str(parity5_file), "--emit", "sets"])
+        want = [run(capsys, *argv)[:2] for argv in jobs]
+        for value in ("3", "lots"):
+            monkeypatch.setenv("ULTRAGREEDY_CAP", value)
+            assert [run(capsys, *argv)[:2] for argv in jobs] == want
 
-    def test_bad_env_value(self, capsys, parity5_file, monkeypatch):
-        monkeypatch.setenv("ULTRAGREEDY_CAP", "lots")
-        code, _, err = run(capsys, "validate", str(parity5_file))
-        assert code == 2 and "ULTRAGREEDY_CAP" in err
+
+def _one_point_instance(tmp_path, weight):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"points": ["a"], "weights": [weight], "distances": [[]]}))
+    return str(path)
+
+
+class TestRationalGrammar:
+    """Trimmed, a rational string is an integer or p/q with an unsigned denominator."""
+
+    @pytest.mark.parametrize("text, value", [("3", "3"), (" -4/6 ", "-2/3"), ("0/5", "0"), ("007", "7")])
+    def test_accepted(self, capsys, tmp_path, text, value):
+        code, out, err = run(capsys, "nu", _one_point_instance(tmp_path, text), "--k", "1")
+        assert (code, json.loads(out), err) == (0, value, "")
+
+    @pytest.mark.parametrize(
+        "text", ["1/-2", "-1/-2", "+1", "1.5", "1e3", "1_000", "1 / 2", "", "/2", "2/"]
+    )
+    def test_rejected(self, capsys, tmp_path, text):
+        code, out, err = run(capsys, "nu", _one_point_instance(tmp_path, text), "--k", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad rational in weights: {text!r} is not p/q or integer\n"
+
+    def test_zero_denominator(self, capsys, tmp_path):
+        code, out, err = run(capsys, "nu", _one_point_instance(tmp_path, "1/0"), "--k", "1")
+        assert (code, out, err) == (2, "", "error: bad rational in weights: Fraction(1, 0)\n")
 
 
 class TestParsing:
