@@ -20,18 +20,9 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .bhargava import is_pm_ordering, pm_ordering
-from .constructions import (
-    WeightedTree,
-    constant_triple,
-    mod_triple,
-    padic_log_triple,
-    padic_triple,
-    rseq_triple,
-    tree_triple,
-)
 from .core import FullUltraTriple, UltraTriple, rational, validate
 from .greedoid import (
     SetSystem,
@@ -45,7 +36,9 @@ from .greedoid import (
     points_from_mask,
 )
 from .greedy import GreedyTrace, all_greedy_traces, greedy_permutation, greedy_subsequence, nu, nu_bar
-from .oracle import random_ultra_triple
+
+if TYPE_CHECKING:
+    from .constructions import WeightedTree
 
 
 class InputError(Exception):
@@ -266,6 +259,8 @@ def cmd_greedoid(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .constructions import constant_triple, mod_triple, padic_log_triple, padic_triple, rseq_triple
+
     family = args.family
     weights = None
     if args.weights is not None:
@@ -299,6 +294,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             weights,
         )
     else:  # random
+        from .oracle import random_ultra_triple
+
         if args.n is None:
             raise InputError("--family random needs --n")
         t = random_ultra_triple(args.seed, args.n, args.depth)
@@ -307,6 +304,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def parse_tree_file(path: str) -> WeightedTree:
+    from .constructions import WeightedTree
+
     try:
         with open(path) as f:
             lines = f.read().splitlines()
@@ -349,6 +348,8 @@ def parse_tree_file(path: str) -> WeightedTree:
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
+    from .constructions import tree_triple
+
     t = tree_triple(parse_tree_file(args.tree))
     _emit(json.dumps(instance_document(t), indent=2), args.out)
     return 0
@@ -412,15 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write an instance of a standard family")
     p.add_argument("--family", required=True, choices=("constant", "mod", "padic", "padic-log", "rseq", "random"))
-    p.add_argument("--points", help="comma-separated integers")
+    p.add_argument("--points", help="comma-separated integers; --points=-3,5 when the first is negative")
     p.add_argument("--n", type=int)
-    p.add_argument("--weights", help="comma-separated rationals")
+    p.add_argument("--weights", help="comma-separated rationals; --weights=-1,2 when the first is negative")
     p.add_argument("--m", type=int, help="modulus for --family mod")
-    p.add_argument("--eps")
-    p.add_argument("--alpha")
+    p.add_argument("--eps", help="rational; --eps=-1/2 when negative")
+    p.add_argument("--alpha", help="rational; --alpha=-2 when negative")
     p.add_argument("--p", type=int)
     p.add_argument("--r", help="comma-separated divisibility chain")
-    p.add_argument("--c", help="comma-separated weakly decreasing rationals")
+    p.add_argument("--c", help="comma-separated weakly decreasing rationals; --c=-1,-2 when the first is negative")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--out")
@@ -433,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pordering", help="compute or check integer P-orderings")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--points", required=True)
+    p.add_argument("--points", required=True, help="comma-separated integers; --points=-3,5 when the first is negative")
     p.add_argument("--m", type=int)
-    p.add_argument("--check", help="comma-separated sequence to test")
+    p.add_argument("--check", help="comma-separated sequence to test; --check=-3,5 when the first is negative")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_pordering)
 

@@ -8,12 +8,11 @@ two transforms between plain and full triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .bhargava import _check_prime, _vp_int
-from .core import FullUltraTriple, UltraTriple, rational
+from .core import FullUltraTriple, UltraTriple, _Record, rational
 
 
 def _weights(n: int, weights: Iterable[int | str | Fraction] | None) -> Iterable:
@@ -138,8 +137,7 @@ def rseq_triple(
     return _triple_from_pairs(pts, pair_dist, weights)
 
 
-@dataclass(frozen=True)
-class EquivHierarchy:
+class EquivHierarchy(_Record):
     """A refinement chain of partitions of {0..n-1}, with per-level distances.
 
     Level 0 lumps everything together; every later level refines the one
@@ -148,15 +146,16 @@ class EquivHierarchy:
     decreasing for the ultrametric inequality to hold.
     """
 
+    __slots__ = _fields = ("levels", "c")
     levels: tuple[tuple[frozenset[int], ...], ...]
     c: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, levels: Iterable[Iterable[Iterable[int]]], c: Iterable) -> None:
         levels = tuple(
             tuple(sorted((frozenset(block) for block in level), key=min))
-            for level in self.levels
+            for level in levels
         )
-        cs = tuple(rational(x) for x in self.c)
+        cs = tuple(rational(x) for x in c)
         if not levels:
             raise ValueError("need at least the trivial level")
         ground = frozenset().union(*levels[0]) if levels[0] else frozenset()
@@ -192,8 +191,7 @@ class EquivHierarchy:
         for i in range(len(cs) - 1):
             if cs[i] < cs[i + 1]:
                 raise ValueError("c must be weakly decreasing")
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "c", cs)
+        self._set(levels, cs)
 
     @property
     def n(self) -> int:
@@ -218,23 +216,25 @@ def eqrel_triple(h: EquivHierarchy, weights: Iterable | None = None) -> UltraTri
     return _triple_from_pairs(list(range(n)), pair_dist, weights)
 
 
-@dataclass(frozen=True)
-class WeightedTree:
+class WeightedTree(_Record):
     """An undirected tree with nonnegative edge weights, a root, and a
     designated point set (the leafset, degree-<=1 vertices by default)."""
 
+    __slots__ = _fields = ("vertices", "edges", "root", "leafset")
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, Fraction], ...]
     root: str
-    leafset: tuple[str, ...] | None = None
+    leafset: tuple[str, ...] | None
 
-    def __post_init__(self) -> None:
-        vertices = tuple(str(v) for v in self.vertices)
+    def __init__(
+        self, vertices: Iterable, edges: Iterable[tuple], root: str, leafset: Iterable | None = None
+    ) -> None:
+        vertices = tuple(str(v) for v in vertices)
         if len(set(vertices)) != len(vertices):
             raise ValueError("vertices must be distinct")
         known = set(vertices)
-        edges = []
-        for u, v, wt in self.edges:
+        checked = []
+        for u, v, wt in edges:
             u, v = str(u), str(v)
             wt = rational(wt)
             if u not in known or v not in known:
@@ -243,8 +243,8 @@ class WeightedTree:
                 raise ValueError(f"self-loop at {u}: the graph is not a tree")
             if wt < 0:
                 raise ValueError(f"edge ({u}, {v}) has negative weight {wt}")
-            edges.append((u, v, wt))
-        root = str(self.root)
+            checked.append((u, v, wt))
+        root = str(root)
         if root not in known:
             raise ValueError(f"root {root!r} is not a vertex")
         # union-find: an edge inside one component closes a cycle
@@ -256,29 +256,26 @@ class WeightedTree:
                 x = parent[x]
             return x
 
-        for u, v, _ in edges:
+        for u, v, _ in checked:
             ru, rv = find(u), find(v)
             if ru == rv:
                 raise ValueError(f"edge ({u}, {v}) closes a cycle")
             parent[ru] = rv
         if len({find(v) for v in vertices}) != 1:
             raise ValueError("the graph is disconnected")
-        if self.leafset is None:
+        if leafset is None:
             degree = {v: 0 for v in vertices}
-            for u, v, _ in edges:
+            for u, v, _ in checked:
                 degree[u] += 1
                 degree[v] += 1
             leafset = tuple(v for v in vertices if degree[v] <= 1)
         else:
-            leafset = tuple(str(v) for v in self.leafset)
+            leafset = tuple(str(v) for v in leafset)
             if len(set(leafset)) != len(leafset):
                 raise ValueError("leafset entries must be distinct")
             if not set(leafset) <= known:
                 raise ValueError("leafset must be a subset of the vertices")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "leafset", leafset)
+        self._set(vertices, tuple(checked), root, leafset)
 
 
 def _path_weights(t: WeightedTree, source: str) -> dict[str, Fraction]:

@@ -12,7 +12,6 @@ on exact ties between perimeters, so floats are rejected at the door.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
@@ -36,8 +35,47 @@ def _freeze_rationals(values: Iterable[int | str | Fraction]) -> tuple[Fraction,
     return tuple(v if type(v) is Fraction else rational(v) for v in values)
 
 
-@dataclass(frozen=True)
-class UltraTriple:
+class _Record:
+    """A frozen record: slotted fields, set once in `__init__` by `_set`.
+
+    Equality compares instances of one class only, field by field; hash,
+    repr, pickling and copying follow `_fields` too.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        """Set the leading fields, in order."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class UltraTriple(_Record):
     """A finite point set with weights and pairwise distances.
 
     Points are the dense indices 0..n-1; `labels` is display-only.  `dist`
@@ -46,14 +84,15 @@ class UltraTriple:
     The ultrametric inequality is NOT enforced here; see `validate`.
     """
 
+    __slots__ = _fields = ("labels", "weights", "dist")
     labels: tuple[str, ...]
     weights: tuple[Fraction, ...]
     dist: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        labels = tuple(str(x) for x in self.labels)
-        weights = _freeze_rationals(self.weights)
-        dist = tuple(_freeze_rationals(row) for row in self.dist)
+    def __init__(self, labels: Iterable, weights: Iterable, dist: Iterable[Iterable]) -> None:
+        labels = tuple(str(x) for x in labels)
+        weights = _freeze_rationals(weights)
+        dist = tuple(_freeze_rationals(row) for row in dist)
         n = len(labels)
         if len(set(labels)) != n:
             raise ValueError("labels must be pairwise distinct")
@@ -61,9 +100,7 @@ class UltraTriple:
             raise ValueError(f"expected {n} weights, got {len(weights)}")
         if len(dist) != n or any(len(row) != i for i, row in enumerate(dist)):
             raise ValueError("dist must be lower-triangular: row i needs i entries")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "dist", dist)
+        self._set(labels, weights, dist)
 
     @property
     def n(self) -> int:
@@ -96,15 +133,18 @@ class UltraTriple:
             raise KeyError(f"unknown point label {label!r}") from None
 
 
-@dataclass(frozen=True)
 class FullUltraTriple(UltraTriple):
     """An ultra triple whose distance is also defined on the diagonal."""
 
+    __slots__ = ("selfdist",)
+    _fields = UltraTriple._fields + __slots__
     selfdist: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        selfdist = _freeze_rationals(self.selfdist)
+    def __init__(
+        self, labels: Iterable, weights: Iterable, dist: Iterable[Iterable], selfdist: Iterable
+    ) -> None:
+        super().__init__(labels, weights, dist)
+        selfdist = _freeze_rationals(selfdist)
         if len(selfdist) != self.n:
             raise ValueError(f"expected {self.n} self-distances, got {len(selfdist)}")
         object.__setattr__(self, "selfdist", selfdist)
@@ -139,15 +179,16 @@ class Violation(NamedTuple):
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
+    __slots__ = _fields = ("ok", "violations")
     ok: bool
     violations: tuple[Violation, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, ok: bool, violations: tuple[Violation, ...]) -> None:
         # ok is determined by the violation list; reject inconsistent reports
-        if self.ok != (len(self.violations) == 0):
+        if ok != (len(violations) == 0):
             raise ValueError("ok must equal 'violations is empty'")
+        self._set(ok, violations)
 
 
 def _rows(t: UltraTriple) -> list[list]:

@@ -12,13 +12,11 @@ re-checkable witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
-from .core import UltraTriple, perimeter_set, projections, validate
+from .core import UltraTriple, _Record, perimeter_set, projections, validate
 from .greedy import _step
-from .oracle import brute_max_perimeter
 
 AXIOMS = ("i", "ii", "iii", "iv", "matroid-exchange")
 
@@ -48,21 +46,21 @@ def _shown(value: object) -> str:
     return repr(value)
 
 
-@dataclass(frozen=True)
-class SetSystem:
+class SetSystem(_Record):
     """A family of subsets of {0..ground-1}, each stored as a bitmask."""
 
+    __slots__ = _fields = ("ground", "sets")
     ground: int
     sets: frozenset[int]
 
-    def __post_init__(self) -> None:
-        if self.ground < 0:
+    def __init__(self, ground: int, sets: Iterable[int]) -> None:
+        if ground < 0:
             raise ValueError("ground size must be nonnegative")
-        sets = frozenset(self.sets)
+        sets = frozenset(sets)
         for mask in sets:
-            if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0 or mask >> self.ground:
-                raise ValueError(f"mask {_shown(mask)} does not fit in ground size {_shown(self.ground)}")
-        object.__setattr__(self, "sets", sets)
+            if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0 or mask >> ground:
+                raise ValueError(f"mask {_shown(mask)} does not fit in ground size {_shown(ground)}")
+        self._set(ground, sets)
 
     @classmethod
     def from_point_sets(cls, ground: int, families: Iterable[Iterable[int]]) -> "SetSystem":
@@ -89,19 +87,20 @@ class SetSystem:
         return len(self.sets)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Record):
     """Verdict for one axiom, with a structured counterexample on failure."""
 
+    __slots__ = _fields = ("axiom", "holds", "witness")
     axiom: str
     holds: bool
-    witness: dict | None = None
+    witness: dict | None
 
-    def __post_init__(self) -> None:
-        if self.axiom not in AXIOMS:
-            raise ValueError(f"unknown axiom {self.axiom!r}")
-        if not self.holds and self.witness is None:
+    def __init__(self, axiom: str, holds: bool, witness: dict | None = None) -> None:
+        if axiom not in AXIOMS:
+            raise ValueError(f"unknown axiom {axiom!r}")
+        if not holds and witness is None:
             raise ValueError("a failed axiom needs a witness")
+        self._set(axiom, holds, witness)
 
 
 def bhargava_greedoid(t: UltraTriple, cap: int = 16) -> SetSystem:
@@ -118,6 +117,8 @@ def bhargava_greedoid(t: UltraTriple, cap: int = 16) -> SetSystem:
     if n > cap:
         raise ValueError(f"ground size {n} exceeds cap {cap}")
     if not validate(t).ok:
+        from .oracle import brute_max_perimeter
+
         levels = (brute_max_perimeter(t, range(n), k, cap).argmax for k in range(n + 1))
         return SetSystem.from_point_sets(n, chain.from_iterable(levels))
     level = {0: {x: t.weights[x] for x in range(n)}}

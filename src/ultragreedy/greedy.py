@@ -11,34 +11,32 @@ is computed by the engine; `extend_greedy` recomputes its prefix's too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import FullUltraTriple, UltraTriple, _subset
+from .core import FullUltraTriple, UltraTriple, _Record, _subset
 
 
-@dataclass(frozen=True)
-class GreedyTrace:
+class GreedyTrace(_Record):
     """An ordered greedy selection with its per-step perimeter increments.
 
     Increment j is w(c_j) plus the distances from c_j to all earlier picks,
     so the prefix sums of `increments` are the perimeters of the prefixes.
     """
 
+    __slots__ = _fields = ("points", "increments", "mode")
     points: tuple[int, ...]
     increments: tuple[Fraction, ...]
     mode: str  # "permutation" or "subsequence"
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("permutation", "subsequence"):
-            raise ValueError(f"unknown trace mode {self.mode!r}")
-        if len(self.points) != len(self.increments):
+    def __init__(self, points: Sequence[int], increments: Sequence[Fraction], mode: str) -> None:
+        if mode not in ("permutation", "subsequence"):
+            raise ValueError(f"unknown trace mode {mode!r}")
+        if len(points) != len(increments):
             raise ValueError("one increment per selected point")
-        if self.mode == "permutation" and len(set(self.points)) != len(self.points):
+        if mode == "permutation" and len(set(points)) != len(points):
             raise ValueError("permutation trace has repeated points")
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "increments", tuple(self.increments))
+        self._set(tuple(points), tuple(increments), mode)
 
     def __len__(self) -> int:
         return len(self.points)

@@ -10,7 +10,6 @@ tautology.  Caps are hard errors, never silent truncation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Iterable
@@ -21,18 +20,22 @@ from .core import (
     UltraTriple,
     ValidationReport,
     Violation,
+    _Record,
     _subset,
     perimeter_set,
     perimeter_tuple,
 )
 
 
-@dataclass(frozen=True)
-class MaxResult:
+class MaxResult(_Record):
     """An exact maximum plus every candidate attaining it."""
 
+    __slots__ = _fields = ("value", "argmax")
     value: Fraction
     argmax: tuple
+
+    def __init__(self, value: Fraction, argmax: tuple) -> None:
+        self._set(value, argmax)
 
 
 def brute_validate(t: UltraTriple) -> ValidationReport:

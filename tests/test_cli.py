@@ -247,6 +247,17 @@ class TestGenerateCommand:
         )
         assert code == 2
 
+    def test_leading_minus_with_equals(self, capsys):
+        code, out, _ = run(capsys, "generate", "--family", "constant", "--n", "2", "--weights=-1,2")
+        assert code == 0
+        assert json.loads(out)["weights"] == ["-1", "2"]
+
+    @pytest.mark.parametrize("option", ["--points", "--weights", "--eps", "--alpha", "--c"])
+    def test_help_shows_equals_form(self, capsys, monkeypatch, option):
+        monkeypatch.setenv("COLUMNS", "200")  # one help line per option
+        _, out, _ = run(capsys, "generate", "--help")
+        assert f"{option}=-" in out
+
 
 class TestTreeCommand:
     def test_star(self, capsys, tmp_path):
@@ -324,6 +335,18 @@ class TestPorderingCommand:
     def test_composite_p(self, capsys):
         code, _, _ = run(capsys, "pordering", "--p", "9", "--points", "1,2")
         assert code == 2
+
+    def test_leading_minus_with_equals(self, capsys):
+        code, out, _ = run(capsys, "pordering", "--p", "2", "--points=-3,5", "--m", "2")
+        assert code == 0 and out == "[-3, 5]\n"
+        code, out, _ = run(capsys, "pordering", "--p", "2", "--points=-3,5", "--check=-3,5")
+        assert code == 0 and json.loads(out) is True
+
+    @pytest.mark.parametrize("option", ["--points", "--check"])
+    def test_help_shows_equals_form(self, capsys, monkeypatch, option):
+        monkeypatch.setenv("COLUMNS", "200")  # one help line per option
+        _, out, _ = run(capsys, "pordering", "--help")
+        assert f"{option}=-" in out
 
 
 class TestCaps:
