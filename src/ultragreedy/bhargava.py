@@ -10,7 +10,7 @@ agree verdict-for-verdict.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .greedy import is_greedy_permutation
 

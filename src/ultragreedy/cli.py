@@ -19,8 +19,9 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from json.encoder import encode_basestring_ascii
 
 from .bhargava import is_pm_ordering, pm_ordering
 from .core import FullUltraTriple, UltraTriple, rational, validate
@@ -37,6 +38,7 @@ from .greedoid import (
 )
 from .greedy import GreedyTrace, all_greedy_traces, greedy_permutation, greedy_subsequence, nu, nu_bar
 
+TYPE_CHECKING = False  # type checkers read it as True; `typing` is never loaded
 if TYPE_CHECKING:
     from .constructions import WeightedTree
 
@@ -93,12 +95,24 @@ def read_instance(path: str) -> UltraTriple:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
+    memo: dict[str, Fraction] = {}
+
+    def rat(x: object, what: str) -> Fraction:
+        # an ultrametric has few distinct distances: each string is parsed
+        # once per file, and equal strings share one Fraction
+        if not isinstance(x, str):
+            return _rational(x, what)
+        value = memo.get(x)
+        if value is None:
+            value = memo[x] = _rational(x, what)
+        return value
+
     try:
         labels = tuple(str(x) for x in doc["points"])
-        weights = tuple(_rational(x, "weights") for x in doc["weights"])
-        dist = tuple(tuple(_rational(x, "distances") for x in row) for row in doc["distances"])
+        weights = tuple(rat(x, "weights") for x in doc["weights"])
+        dist = tuple(tuple(rat(x, "distances") for x in row) for row in doc["distances"])
         if "selfdist" in doc:
-            selfdist = tuple(_rational(x, "selfdist") for x in doc["selfdist"])
+            selfdist = tuple(rat(x, "selfdist") for x in doc["selfdist"])
             return FullUltraTriple(labels, weights, dist, selfdist)
         return UltraTriple(labels, weights, dist)
     except KeyError as exc:
@@ -151,12 +165,47 @@ def _emit(text: str, out: str | None) -> None:
         print(f"wrote {out}", file=sys.stderr)
 
 
-def _trace_document(t: UltraTriple, trace: GreedyTrace) -> dict:
-    return {
-        "points": [t.labels[a] for a in trace.points],
-        "increments": [str(x) for x in trace.increments],
-        "prefix_perimeters": [str(x) for x in trace.prefix_perimeters()],
-    }
+def _json_list(items: list[str]) -> str:
+    """A list of encoded JSON strings at the depth of a trace's fields."""
+    return "[\n        " + ",\n        ".join(items) + "\n      ]" if items else "[]"
+
+
+def _traces_json(t: UltraTriple, mode: str, traces: Sequence[GreedyTrace]) -> str:
+    """{"mode", "traces": [{"points", "increments", "prefix_perimeters"}]}
+    with exactly the bytes of `json.dumps(doc, indent=2)`.
+
+    A tie enumeration hands each node's gain and prefix to all of its
+    children, so consecutive traces share leading increment objects.  The
+    previous trace's rendered increments and running sums are kept up to its
+    first increment that is not the same object as this trace's, so each
+    enumeration-tree edge is summed and formatted once.  Identity implies
+    equality, so the output is right for any list of traces.
+    """
+    labels = [encode_basestring_ascii(label) for label in t.labels]
+    kept: tuple | None = None  # not (): an m = 0 trace must still be rendered
+    sums = [Fraction(0)]
+    inc_items: list[str] = []
+    sum_items: list[str] = []
+    blocks = ""
+    out = []
+    for trace in traces:
+        incs = trace.increments
+        if incs is not kept:
+            old = kept or ()
+            k, top = 0, min(len(incs), len(old))
+            while k < top and incs[k] is old[k]:
+                k += 1
+            del sums[k + 1 :], inc_items[k:], sum_items[k:]
+            for x in incs[k:]:
+                sums.append(sums[-1] + x)
+                inc_items.append(encode_basestring_ascii(str(x)))
+                sum_items.append(encode_basestring_ascii(str(sums[-1])))
+            kept = incs
+            blocks = f'{_json_list(inc_items)},\n      "prefix_perimeters": {_json_list(sum_items)}'
+        points = _json_list([labels[a] for a in trace.points])
+        out.append(f'    {{\n      "points": {points},\n      "increments": {blocks}\n    }}')
+    body = "[\n" + ",\n".join(out) + "\n  ]" if out else "[]"
+    return f'{{\n  "mode": {encode_basestring_ascii(mode)},\n  "traces": {body}\n}}'
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -196,8 +245,7 @@ def cmd_greedy(args: argparse.Namespace) -> int:
         else:
             traces = [greedy_permutation(t, pts, m)]
         mode = "permutation"
-    doc = {"mode": mode, "traces": [_trace_document(t, tr) for tr in traces]}
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit(_traces_json(t, mode, traces), args.out)
     return 0
 
 

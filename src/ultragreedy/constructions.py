@@ -8,8 +8,8 @@ two transforms between plain and full triples.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .bhargava import _check_prime, _vp_int
 from .core import FullUltraTriple, UltraTriple, _Record, rational

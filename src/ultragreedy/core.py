@@ -12,9 +12,10 @@ on exact ties between perimeters, so floats are rejected at the door.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
 
 Rational = Fraction
 
@@ -168,15 +169,12 @@ def _subset(t: UltraTriple, C: Iterable[int]) -> list[int]:
     return pts
 
 
-class Violation(NamedTuple):
-    """One failed instance of d(p,q) <= max(d(p,r), d(q,r)).
+Violation = namedtuple("Violation", ("points", "lhs", "rhs"))
+Violation.__doc__ = """One failed instance of d(p,q) <= max(d(p,r), d(q,r)).
 
-    `points` is (p, q, r): the pair on the left-hand side comes first.
-    """
-
-    points: tuple[int, int, int]
-    lhs: Fraction
-    rhs: Fraction
+`points` is (p, q, r): the pair on the left-hand side comes first; `lhs` and
+`rhs` are the two sides as Fractions.
+"""
 
 
 class ValidationReport(_Record):

@@ -12,8 +12,8 @@ re-checkable witness.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import chain
-from typing import Iterable
 
 from .core import UltraTriple, _Record, perimeter_set, projections, validate
 from .greedy import _step

@@ -11,8 +11,8 @@ is computed by the engine; `extend_greedy` recomputes its prefix's too.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .core import FullUltraTriple, UltraTriple, _Record, _subset
 

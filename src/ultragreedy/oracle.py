@@ -10,9 +10,9 @@ tautology.  Caps are hard errors, never silent truncation.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
-from typing import Iterable
 
 from .constructions import EquivHierarchy, eqrel_triple
 from .core import (

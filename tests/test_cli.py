@@ -4,11 +4,29 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ultragreedy import bhargava_greedoid, is_pm_ordering, level_sets, points_from_mask
-from ultragreedy.cli import main, parse_tree_file
+from ultragreedy import (
+    FullUltraTriple,
+    GreedyTrace,
+    UltraTriple,
+    all_greedy_traces,
+    bhargava_greedoid,
+    extend_to_full,
+    greedy_permutation,
+    greedy_subsequence,
+    is_pm_ordering,
+    level_sets,
+    padic_log_triple,
+    padic_triple,
+    points_from_mask,
+    random_ultra_triple,
+)
+from ultragreedy.cli import _rational, _traces_json, main, parse_tree_file, read_instance
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *args):
@@ -119,6 +137,102 @@ class TestGreedyCommand:
     def test_m_too_large(self, capsys, parity5_file):
         code, _, _ = run(capsys, "greedy", str(parity5_file), "--m", "9")
         assert code == 2
+
+    def test_ties_cap_exceeded_prints_nothing(self, capsys, parity5_file):
+        # 12 traces: the enumeration fails before a byte of the document is written
+        argv = ["greedy", str(parity5_file), "--m", "2", "--ties", "all"]
+        assert run(capsys, *argv, "--cap", "12")[0] == 0
+        code, out, err = run(capsys, *argv, "--cap", "11")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "cap=11" in err
+
+
+# labels whose JSON form needs every kind of escape `json.dumps` writes
+ESCAPED = ['q"uote', "back\\slash", "new\nline", "tab\there", "caf\u00e9", "snow\u2603", "sep\u2028", "grin\U0001F600"]
+
+
+def _relabel(t):
+    labels = tuple(f"{ESCAPED[a % len(ESCAPED)]}{a}" for a in t.points())
+    if isinstance(t, FullUltraTriple):
+        return FullUltraTriple(labels, t.weights, t.dist, t.selfdist)
+    return UltraTriple(labels, t.weights, t.dist)
+
+
+def _reference_json(t, mode, traces):
+    """The greedy document built whole and dumped by `json`, as the CLI once did."""
+    doc = {
+        "mode": mode,
+        "traces": [
+            {
+                "points": [t.labels[a] for a in tr.points],
+                "increments": [str(x) for x in tr.increments],
+                "prefix_perimeters": [str(x) for x in tr.prefix_perimeters()],
+            }
+            for tr in traces
+        ],
+    }
+    return json.dumps(doc, indent=2)
+
+
+def _assert_writer_matches(t, mode, traces):
+    assert _traces_json(t, mode, traces) == _reference_json(t, mode, traces)
+
+
+class TestTraceWriter:
+    """`greedy` output equals `json.dumps(indent=2)` of the full document, byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_valid_triples(self, seed):
+        t = _relabel(random_ultra_triple(seed, 3 + seed % 6, 1 + seed % 3))
+        for m in range(t.n + 1):
+            _assert_writer_matches(t, "permutation", all_greedy_traces(t, t.points(), m))
+        _assert_writer_matches(t, "permutation", [greedy_permutation(t, t.points(), t.n)])
+
+    @pytest.mark.parametrize("build, p", [(padic_triple, 2), (padic_triple, 3), (padic_log_triple, 2)])
+    def test_padic_triples(self, build, p):
+        t = _relabel(build(range(9), p))
+        for m in (0, 1, 3, 5, 9):
+            traces = all_greedy_traces(t, t.points(), m)
+            if m >= 3:
+                assert len(traces) > 1
+            _assert_writer_matches(t, "permutation", traces)
+
+    def test_invalid_ties6(self):
+        t = _relabel(read_instance(str(GOLDEN / "ties6.json")))
+        for m in range(t.n + 1):
+            _assert_writer_matches(t, "permutation", all_greedy_traces(t, t.points(), m))
+        for m in (0, 1, 9):
+            _assert_writer_matches(t, "subsequence", [greedy_subsequence(t, t.points(), m)])
+
+    def test_empty_selections(self):
+        t = _relabel(padic_triple(range(4), 2))
+        for pts in ([], [1, 3], t.points()):
+            _assert_writer_matches(t, "permutation", all_greedy_traces(t, pts, 0))
+        _assert_writer_matches(t, "permutation", all_greedy_traces(t, [], 0) * 3)
+        _assert_writer_matches(t, "permutation", [])
+
+    def test_subsequence_mode(self):
+        t = _relabel(extend_to_full(padic_triple(range(6), 2), Fraction(1, 4)))
+        for m in (0, 1, 4, 11):
+            _assert_writer_matches(t, "subsequence", [greedy_subsequence(t, [0, 2, 5], m)])
+
+    def test_hand_built_traces(self):
+        t = _relabel(padic_triple(range(4), 2))
+        one, half = Fraction(1), Fraction(1, 2)
+        first = GreedyTrace((0, 1), (one, half), "permutation")
+        traces = [
+            first,
+            first,  # the same increments object: the rendered block is reused whole
+            GreedyTrace((0, 2), (Fraction(1), Fraction(1, 2)), "permutation"),  # equal, not identical
+            GreedyTrace((0, 1), (one, Fraction(3)), "permutation"),  # same points, other increments
+            GreedyTrace((0, 1, 2), (one, Fraction(3), Fraction(-7, 3)), "permutation"),
+            GreedyTrace((3,), (one,), "permutation"),  # a shorter trace sharing a prefix
+            GreedyTrace((), (), "permutation"),
+            GreedyTrace((2, 3), (half, one), "permutation"),
+            GreedyTrace((), (), "permutation"),
+        ]
+        _assert_writer_matches(t, "permutation", traces)
+        _assert_writer_matches(t, "permutation", traces[::-1])
 
 
 class TestNuCommand:
@@ -388,6 +502,57 @@ class TestRationalGrammar:
     def test_zero_denominator(self, capsys, tmp_path):
         code, out, err = run(capsys, "nu", _one_point_instance(tmp_path, "1/0"), "--k", "1")
         assert (code, out, err) == (2, "", "error: bad rational in weights: Fraction(1, 0)\n")
+
+
+class TestReadInstance:
+    """Each distinct rational string of a file is parsed once, with the same errors."""
+
+    def _write(self, tmp_path, **fields):
+        doc = {"points": ["a", "b", "c"], "weights": ["1", "1", "0"], "distances": [[], ["2"], ["2", "1/2"]]}
+        doc.update(fields)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_memoised_read_equals_unmemoised_triple(self, tmp_path):
+        doc = {
+            "points": ["a", "b", "c", "d"],
+            "weights": ["1", 1, "2/4", "1"],
+            "distances": [[], [" 2"], ["2", "1/2"], ["2", "2", "1/2"]],
+            "selfdist": ["1/2", "0", "1/2", 0],
+        }
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        got = read_instance(str(path))
+        want = FullUltraTriple(
+            tuple(doc["points"]),
+            tuple(_rational(x, "weights") for x in doc["weights"]),
+            tuple(tuple(_rational(x, "distances") for x in row) for row in doc["distances"]),
+            tuple(_rational(x, "selfdist") for x in doc["selfdist"]),
+        )
+        assert got == want
+        # equal strings share one Fraction; JSON numbers are not memoised
+        assert got.d(2, 0) is got.d(3, 0) is got.d(3, 1)
+        assert got.d(2, 0) is not got.d(1, 0)  # " 2" is another string
+        assert got.selfdist[0] is got.selfdist[2] is got.d(2, 1) is got.d(3, 2)
+        assert got.weights[0] is got.weights[3] and got.weights[0] == got.weights[1]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"weights": ["x", "1", "x"]}, "bad rational in weights: 'x' is not p/q or integer"),
+            ({"distances": [[], ["1/0"], ["1/0", "1/0"]]}, "bad rational in distances: Fraction(1, 0)"),
+            # the first bad entry of the file is reported, under its own field
+            ({"weights": ["1", "2", "0"], "distances": [[], ["2.5"], ["2.5", "1"]], "selfdist": ["2.5"] * 3},
+             "bad rational in distances: '2.5' is not p/q or integer"),
+            ({"weights": ["1", 1.5, "1"]}, "bad rational in weights: expected an exact rational, got 1.5"),
+        ],
+    )
+    def test_repeated_bad_string_same_message(self, capsys, tmp_path, fields, message):
+        path = self._write(tmp_path, **fields)
+        for _ in range(2):
+            code, out, err = run(capsys, "validate", path)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestParsing:

@@ -7,7 +7,10 @@ rewrite of the kernels behind them cannot change a single byte unnoticed.
 is pinned too; its greedoid fails axioms (ii)-(iv) and two matroid levels,
 which pins the checkers' witnesses, and its `validate` report lists
 self-distance violations (b, b, a) and exits 1.  `planted5.system.json` is every subset
-of size <= 2 of five points plus two 3-sets sharing one point.
+of size <= 2 of five points plus two 3-sets sharing one point.  `escapes8` is a
+valid full triple whose labels need JSON escapes (a quote, a backslash, a
+newline, a tab, non-ASCII, U+2028 and a non-BMP emoji), so the `greedy`
+writer's escaping is pinned.
 
 Regenerate (only when an output change is intended) with
 
@@ -54,6 +57,12 @@ def _cases() -> list[tuple[str, list[str]]]:
             (f"{name}.greedoid-check", ["greedoid", path, "--emit", "check"]),
             (f"{name}.validate", ["validate", path]),
         ]
+    path = str(GOLDEN / "escapes8.json")
+    cases += [
+        ("escapes8.greedy", ["greedy", path]),
+        ("escapes8.greedy-ties-all-m3", ["greedy", path, "--ties", "all", "--m", "3"]),
+        ("escapes8.greedy-subseq", ["greedy", path, "--mode", "subseq"]),
+    ]
     cases.append(("planted5.greedoid-system", ["greedoid", "--system", str(GOLDEN / "planted5.system.json")]))
     cases += [(f"pordering-{name}", ["pordering", *argv]) for name, argv in PORDERING]
     cases += [(f"pordering-check-{name}", ["pordering", *argv]) for name, argv in CHECKS]

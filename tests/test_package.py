@@ -42,6 +42,14 @@ def test_cli_import_loads_only_what_commands_share():
         assert f"ultragreedy.{name}" in got["all"]
 
 
+def test_cli_import_never_loads_typing():
+    # -S: no site module, so nothing but the package can bring `typing` in
+    src = str(Path(ultragreedy.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import ultragreedy.cli; print('typing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_star_import_binds_all():
     namespace: dict = {}
     exec("from ultragreedy import *", namespace)
