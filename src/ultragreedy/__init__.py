@@ -35,6 +35,7 @@ _HOMES = {  # exported name -> the module that defines it
     "check_matroid_bases": "greedoid",
     "clone_triple": "greedy",
     "constant_triple": "constructions",
+    "count_greedy_permutations": "greedy",
     "eqrel_triple": "constructions",
     "exchange_element": "greedoid",
     "extend_greedy": "greedy",

@@ -19,7 +19,7 @@ import argparse
 import json
 import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -36,7 +36,7 @@ from .greedoid import (
     level_sets,
     points_from_mask,
 )
-from .greedy import GreedyTrace, all_greedy_traces, greedy_permutation, greedy_subsequence, nu, nu_bar
+from .greedy import _greedy_paths, greedy_permutation, greedy_subsequence, nu, nu_bar
 
 TYPE_CHECKING = False  # type checkers read it as True; `typing` is never loaded
 if TYPE_CHECKING:
@@ -81,7 +81,7 @@ def _rational_list(text: str, what: str) -> list[Fraction]:
 
 def _load_json(path: str) -> object:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:  # JSON text is UTF-8, whatever the locale
             return json.load(f)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
@@ -156,12 +156,18 @@ def _resolve_subset(t: UltraTriple, arg: str | None) -> list[int]:
     return list(dict.fromkeys(out))  # the library reads C as a set
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or its chunks in order, and a newline to stdout or to out."""
+    chunks = (text,) if isinstance(text, str) else text
     if out is None:
-        print(text)
+        write = sys.stdout.write
+        for chunk in chunks:
+            write(chunk)
+        write("\n")
     else:
         with open(out, "w") as f:
-            f.write(text + "\n")
+            f.writelines(chunks)
+            f.write("\n")
         print(f"wrote {out}", file=sys.stderr)
 
 
@@ -170,26 +176,29 @@ def _json_list(items: list[str]) -> str:
     return "[\n        " + ",\n        ".join(items) + "\n      ]" if items else "[]"
 
 
-def _traces_json(t: UltraTriple, mode: str, traces: Sequence[GreedyTrace]) -> str:
+def _traces_json(
+    t: UltraTriple, mode: str, traces: Iterable[tuple[Sequence[int], Sequence[Fraction]]]
+) -> Iterator[str]:
     """{"mode", "traces": [{"points", "increments", "prefix_perimeters"}]}
-    with exactly the bytes of `json.dumps(doc, indent=2)`.
+    for (points, increments) pairs, in chunks, one per trace, whose
+    concatenation is exactly `json.dumps(doc, indent=2)`.
 
-    A tie enumeration hands each node's gain and prefix to all of its
-    children, so consecutive traces share leading increment objects.  The
-    previous trace's rendered increments and running sums are kept up to its
-    first increment that is not the same object as this trace's, so each
-    enumeration-tree edge is summed and formatted once.  Identity implies
-    equality, so the output is right for any list of traces.
+    A tie enumeration hands each set's gain to every path through it, so
+    consecutive traces share leading increment objects.  The previous
+    trace's rendered increments and running sums are kept up to its first
+    increment that is not the same object as this trace's, so each shared
+    prefix is summed and formatted once.  Identity implies equality, so the
+    output is right for any pairs.
     """
     labels = [encode_basestring_ascii(label) for label in t.labels]
-    kept: tuple | None = None  # not (): an m = 0 trace must still be rendered
+    kept: Sequence | None = None  # not (): an m = 0 trace must still be rendered
     sums = [Fraction(0)]
     inc_items: list[str] = []
     sum_items: list[str] = []
     blocks = ""
-    out = []
-    for trace in traces:
-        incs = trace.increments
+    sep = "[\n"
+    yield f'{{\n  "mode": {encode_basestring_ascii(mode)},\n  "traces": '
+    for points, incs in traces:
         if incs is not kept:
             old = kept or ()
             k, top = 0, min(len(incs), len(old))
@@ -202,10 +211,10 @@ def _traces_json(t: UltraTriple, mode: str, traces: Sequence[GreedyTrace]) -> st
                 sum_items.append(encode_basestring_ascii(str(sums[-1])))
             kept = incs
             blocks = f'{_json_list(inc_items)},\n      "prefix_perimeters": {_json_list(sum_items)}'
-        points = _json_list([labels[a] for a in trace.points])
-        out.append(f'    {{\n      "points": {points},\n      "increments": {blocks}\n    }}')
-    body = "[\n" + ",\n".join(out) + "\n  ]" if out else "[]"
-    return f'{{\n  "mode": {encode_basestring_ascii(mode)},\n  "traces": {body}\n}}'
+        shown = _json_list([labels[a] for a in points])
+        yield f'{sep}    {{\n      "points": {shown},\n      "increments": {blocks}\n    }}'
+        sep = ",\n"
+    yield "[]\n}" if sep == "[\n" else "\n  ]\n}"
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -237,15 +246,18 @@ def cmd_greedy(args: argparse.Namespace) -> int:
             raise InputError("subsequence mode needs a full triple (selfdist field)")
         if args.ties == "all":
             raise InputError("--ties all supports permutation mode only")
-        traces = [greedy_subsequence(t, pts, m)]
+        trace = greedy_subsequence(t, pts, m)
+        paths = [(trace.points, trace.increments)]
         mode = "subsequence"
     else:
         if args.ties == "all":
-            traces = all_greedy_traces(t, pts, m, cap=args.cap)
+            # counted and held to the cap here, before the first byte is written
+            paths = _greedy_paths(t, pts, m, args.cap)
         else:
-            traces = [greedy_permutation(t, pts, m)]
+            trace = greedy_permutation(t, pts, m)
+            paths = [(trace.points, trace.increments)]
         mode = "permutation"
-    _emit(_traces_json(t, mode, traces), args.out)
+    _emit(_traces_json(t, mode, paths), args.out)
     return 0
 
 

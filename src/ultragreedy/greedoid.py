@@ -3,11 +3,10 @@
 For a valid triple, the sets that maximize perimeter within their own
 cardinality form a strong greedoid, and each cardinality level is the base
 collection of a matroid.  `bhargava_greedoid` builds a valid triple's
-system by greedy closure on the shared gain-vector step of the greedy
-module, and an invalid one through the brute-force oracle.  The checkers
-here take arbitrary set systems, so hand-built counterexamples can be
-analyzed with the same tooling; every failed axiom comes with a
-re-checkable witness.
+system from the greedy module's set DAG, and an invalid one through the
+brute-force oracle.  The checkers here take arbitrary set systems, so
+hand-built counterexamples can be analyzed with the same tooling; every
+failed axiom comes with a re-checkable witness.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from collections.abc import Iterable
 from itertools import chain
 
 from .core import UltraTriple, _Record, perimeter_set, projections, validate
-from .greedy import _step
+from .greedy import _set_dag
 
 AXIOMS = ("i", "ii", "iii", "iv", "matroid-exchange")
 
@@ -108,10 +107,12 @@ def bhargava_greedoid(t: UltraTriple, cap: int = 16) -> SetSystem:
 
     On a valid triple, level k+1 is exactly the maximum-gain one-point
     extensions of level k: every greedy prefix has maximum perimeter, and
-    by axiom (ii) every maximum set is a greedy prefix.  So each member
-    keeps one gain vector and the work follows the output.  An invalid
-    triple goes to the brute-force oracle instead, level by level.  `cap`
-    bounds the ground size on both paths.
+    by axiom (ii) every maximum set is a greedy prefix.  So the levels are
+    those of the greedy module's set DAG over all points, and the work
+    follows the output; members of one level that disagree on the maximum
+    gain raise RuntimeError.  An invalid triple goes to the brute-force
+    oracle instead, level by level.  `cap` bounds the ground size on both
+    paths.
     """
     n = t.n
     if n > cap:
@@ -121,21 +122,13 @@ def bhargava_greedoid(t: UltraTriple, cap: int = 16) -> SetSystem:
 
         levels = (brute_max_perimeter(t, range(n), k, cap).argmax for k in range(n + 1))
         return SetSystem.from_point_sets(n, chain.from_iterable(levels))
-    level = {0: {x: t.weights[x] for x in range(n)}}
-    winners = set(level)
-    for _ in range(n):
-        best = max(next(iter(level.values())).values())
-        nxt = {}
-        for A, gains in level.items():
-            if max(gains.values()) != best:
-                raise RuntimeError(f"members of size {A.bit_count()} disagree on the maximum gain")
-            for x, g in gains.items():
-                B = A | 1 << x
-                if g == best and B not in nxt:
-                    nxt[B] = _step(t, gains, x, False)
-        level = nxt
-        winners.update(level)
-    return SetSystem(n, frozenset(winners))
+    levels, _ = _set_dag(t, range(n), n)
+    for k, nodes in enumerate(levels):
+        top = next(iter(nodes.values()))[0]
+        if any(best != top for best, _ in nodes.values()):
+            raise RuntimeError(f"members of size {k} disagree on the maximum gain")
+    # level n, the whole ground set, is the one level the DAG leaves implicit
+    return SetSystem(n, frozenset(chain(*levels, [(1 << n) - 1])))
 
 
 def check_axiom_i(s: SetSystem) -> AxiomReport:

@@ -7,11 +7,14 @@ self-distances matter (full triples only).  The k-th perimeter increment of
 a greedy trace is independent of how ties were broken, which makes the
 `nu_bar`/`nu` invariants well-defined.  Every increment this module returns
 is computed by the engine; `extend_greedy` recomputes its prefix's too.
+Tie enumeration and counting run the engine once per distinct set of picks,
+on the set DAG of `_set_dag`, which `greedoid.bhargava_greedoid` shares.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import math
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
 from .core import FullUltraTriple, UltraTriple, _Record, _subset
@@ -135,43 +138,111 @@ def extend_greedy(t: UltraTriple, C: Iterable[int], prefix: GreedyTrace, m: int)
     return GreedyTrace(*_walk(t, pts, prefix.points, m, False), "permutation")
 
 
-def all_greedy_traces(t: UltraTriple, C: Iterable[int], m: int, cap: int = 10**6) -> tuple[GreedyTrace, ...]:
-    """Every greedy m-permutation of C with its increments, in lexicographic order.
+def _set_dag(t: UltraTriple, C: Iterable[int], m: int, cap: float = math.inf) -> tuple[list[dict], int]:
+    """Levels 0..m-1 of the greedy set DAG over C, and its number of paths.
 
-    Depth-first over every maximizing choice at each step, on an explicit
-    stack rather than the call stack, so no depth hits the recursion limit.
-    An entry is (chosen, increments, gains): the gains are the parent's,
-    over the points remaining there, and the last pick's distance row is
-    added only when the entry is popped, so leaves cost nothing.  `cap`
-    bounds the number of emitted sequences and exceeding it is an error,
-    never a truncation.
+    A candidate's gain is w(x) plus its distances to the picks so far, so it
+    depends on the set picked, not on the order: the greedy m-permutations
+    of C are the paths of a DAG whose level-k nodes are the sets (bitmasks)
+    that greedy runs reach after k picks.  Level k maps each of its sets to
+    (best, winners): the set's maximum gain, one Fraction shared by every
+    path through the set, and the points attaining it, lowest index first.
+    Each set's gain vector is built once, by `_step` from the first set that
+    reaches it; only two levels of them are alive, and level m's are never
+    built.  Paths into each set are counted on the way.  Every set below
+    level m has a winner, so no path stops short of level m, and a count
+    past `cap` at any level is an error at once, before the next level.
     """
     pts = _subset(t, C)
     if not 0 <= m <= len(pts):
         raise ValueError(f"m={m} must be between 0 and |C|={len(pts)}")
-    results: list[GreedyTrace] = []
-    stack = [((), (), {x: t.weights[x] for x in pts})]
+    levels: list[dict] = []
+    level = {0: {x: t.weights[x] for x in pts}}  # each set -> its gain vector
+    paths = {0: 1}  # each set -> the greedy runs that reach it
+    while True:
+        total = sum(paths.values())
+        if total > cap:
+            raise ValueError(f"more than cap={cap} greedy permutations")
+        if len(levels) == m:
+            return levels, total
+        grow = len(levels) + 1 < m
+        nodes, nxt, into = {}, {}, {}
+        for A, gains in level.items():
+            best = max(gains.values())
+            winners = [x for x, g in gains.items() if g == best]
+            nodes[A] = best, winners
+            runs = paths[A]
+            for x in winners:
+                B = A | 1 << x
+                if B in into:
+                    into[B] += runs
+                else:
+                    into[B] = runs
+                    if grow:
+                        nxt[B] = _step(t, gains, x, False)
+        levels.append(nodes)
+        level, paths = nxt, into
+
+
+def _paths(levels: list[dict]) -> Iterator[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
+    """(points, increments) of every path through the levels, in
+    lexicographic order.
+
+    Depth-first on an explicit stack rather than the call stack, so no
+    depth hits the recursion limit.  Every path through a set shares its
+    `best` object, and the children of a set at the last level share one
+    increments tuple, so the trace writer formats each shared prefix once.
+    """
+    if not levels:
+        yield (), ()
+        return
+    last = len(levels) - 1
+    stack = [((), (), 0)]  # (points, increments before the next pick, set)
     while stack:
-        chosen, increments, gains = stack.pop()
-        if len(chosen) == m:
-            if len(results) >= cap:
-                raise ValueError(f"more than cap={cap} greedy permutations")
-            results.append(GreedyTrace(chosen, increments, "permutation"))
-            continue
-        if chosen:
-            gains = _step(t, gains, chosen[-1], False)
-        best = max(gains.values())
-        # pushed highest index first, so the lowest is popped first
-        for x in reversed([x for x, g in gains.items() if g == best]):
-            stack.append((chosen + (x,), increments + (best,), gains))
-    return tuple(results)
+        chosen, increments, A = stack.pop()
+        k = len(chosen)
+        best, winners = levels[k][A]
+        increments += (best,)
+        if k == last:
+            for x in winners:
+                yield chosen + (x,), increments
+        else:
+            # pushed highest index first, so the lowest is popped first
+            for x in reversed(winners):
+                stack.append((chosen + (x,), increments, A | 1 << x))
+
+
+def _greedy_paths(
+    t: UltraTriple, C: Iterable[int], m: int, cap: float
+) -> Iterator[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
+    """`all_greedy_traces` as lazy (points, increments) pairs: a bad m or an
+    exceeded cap raises here, before the first pair exists."""
+    return _paths(_set_dag(t, C, m, cap)[0])
+
+
+def all_greedy_traces(t: UltraTriple, C: Iterable[int], m: int, cap: int = 10**6) -> tuple[GreedyTrace, ...]:
+    """Every greedy m-permutation of C with its increments, in lexicographic order.
+
+    The permutations are the paths of the set DAG (`_set_dag`): one gain
+    vector per distinct set that greedy runs reach, not per prefix.  The
+    paths are counted before any trace is built, and `cap` bounds that
+    count: exceeding it is an error, never a truncation.
+    """
+    return tuple(GreedyTrace(points, increments, "permutation") for points, increments in _greedy_paths(t, C, m, cap))
 
 
 def all_greedy_permutations(
     t: UltraTriple, C: Iterable[int], m: int, cap: int = 10**6
 ) -> tuple[tuple[int, ...], ...]:
     """Every greedy m-permutation of C, in lexicographic order (see `all_greedy_traces`)."""
-    return tuple(tr.points for tr in all_greedy_traces(t, C, m, cap))
+    return tuple(points for points, _ in _greedy_paths(t, C, m, cap))
+
+
+def count_greedy_permutations(t: UltraTriple, C: Iterable[int], m: int) -> int:
+    """The number of greedy m-permutations of C, counted on the set DAG
+    without building any of them: the work follows the distinct sets that
+    greedy runs reach, not the permutations."""
+    return _set_dag(t, C, m)[1]
 
 
 def nu_bar(t: UltraTriple, C: Iterable[int], k: int) -> Fraction:

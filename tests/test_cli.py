@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -146,6 +147,25 @@ class TestGreedyCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "cap=11" in err
 
+    def test_ties_cap_exceeded_writes_no_file(self, capsys, tmp_path):
+        # 131,072 traces: the count fails the cap before any trace or output file exists
+        path = tmp_path / "padic16.json"
+        points = ",".join(map(str, range(16)))
+        assert run(capsys, "generate", "--family", "padic", "--points", points, "--p", "2", "--out", str(path))[0] == 0
+        out_file = tmp_path / "traces.json"
+        argv = ["greedy", str(path), "--m", "6", "--ties", "all", "--cap", "1000", "--out", str(out_file)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: more than cap=1000 greedy permutations\n")
+        assert not out_file.exists()
+
+    def test_ties_all_out_file_equals_stdout(self, capsys, parity5_file, tmp_path):
+        argv = ["greedy", str(parity5_file), "--m", "3", "--ties", "all"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(json.loads(out)["traces"]) == 36
+        out_file = tmp_path / "traces.json"
+        assert run(capsys, *argv, "--out", str(out_file)) == (0, "", f"wrote {out_file}\n")
+        assert out_file.read_text() == out
+
 
 # labels whose JSON form needs every kind of escape `json.dumps` writes
 ESCAPED = ['q"uote', "back\\slash", "new\nline", "tab\there", "caf\u00e9", "snow\u2603", "sep\u2028", "grin\U0001F600"]
@@ -175,7 +195,9 @@ def _reference_json(t, mode, traces):
 
 
 def _assert_writer_matches(t, mode, traces):
-    assert _traces_json(t, mode, traces) == _reference_json(t, mode, traces)
+    # the writer takes (points, increments) pairs and yields the document in chunks
+    pairs = [(tr.points, tr.increments) for tr in traces]
+    assert "".join(_traces_json(t, mode, pairs)) == _reference_json(t, mode, traces)
 
 
 class TestTraceWriter:
@@ -570,6 +592,20 @@ class TestParsing:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
+
+    def test_instance_read_as_utf8_under_ascii_locale(self, tmp_path):
+        # JSON text is UTF-8: a non-ASCII label parses whatever the locale's encoding
+        path = tmp_path / "cafe.json"
+        path.write_bytes('{"points": ["caf\u00e9", "b"], "weights": ["1", "0"], "distances": [[], ["1"]]}'.encode())
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ultragreedy", "greedy", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["traces"][0]["points"] == ["caf\u00e9", "b"]
 
 
 @contextmanager

@@ -8,6 +8,7 @@ from ultragreedy import (
     AxiomReport,
     SetSystem,
     UltraTriple,
+    ValidationReport,
     all_greedy_permutations,
     bhargava_greedoid,
     brute_max_perimeter,
@@ -29,6 +30,7 @@ from ultragreedy import (
     strong_exchange_pair,
     validate,
 )
+from ultragreedy import greedoid
 
 F = Fraction
 
@@ -158,6 +160,16 @@ class TestBhargavaGreedoid:
             for k in range(t.n + 1):
                 want = {mask_from_points(a) for a in brute_max_perimeter(t, t.points(), k).argmax}
                 assert set(level_sets(s, k).sets) == want
+
+    def test_disagreeing_level_raises(self, monkeypatch):
+        # an invalid triple let past the validity check: the level-1 sets {a}
+        # and {b} extend with gains 5 (c) and 1 (a or c), so the DAG's levels
+        # are not greedoid levels
+        t = UltraTriple(("a", "b", "c"), (F(1), F(1), F(0)), ((), (F(0),), (F(5), F(1))))
+        assert not validate(t).ok
+        monkeypatch.setattr(greedoid, "validate", lambda t: ValidationReport(True, ()))
+        with pytest.raises(RuntimeError, match="^members of size 1 disagree on the maximum gain$"):
+            bhargava_greedoid(t)
 
     def test_beyond_brute_reach(self):
         # 2**16 subsets: the level sizes (7,586 members in all) are the

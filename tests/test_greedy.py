@@ -1,7 +1,9 @@
+import math
 import random
 import sys
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from ultragreedy import (
     brute_max_tuple_perimeter,
     clone_triple,
     constant_triple,
+    count_greedy_permutations,
     extend_greedy,
     extend_to_full,
     greedy_permutation,
@@ -24,10 +27,13 @@ from ultragreedy import (
     nu,
     nu_bar,
     nu_bar_inequality_check,
+    padic_triple,
     perimeter_set,
     perimeter_tuple,
     random_ultra_triple,
 )
+from ultragreedy import greedy as greedy_module
+from ultragreedy.cli import read_instance
 
 F = Fraction
 
@@ -189,6 +195,55 @@ class TestAllGreedyPermutations:
     def test_sorted_output(self, parity5):
         got = all_greedy_permutations(parity5, parity5.points(), 2)
         assert list(got) == sorted(got)
+
+
+class TestCountGreedyPermutations:
+    @pytest.mark.parametrize("n", range(8))
+    def test_constant_triple_closed_form(self, n):
+        # every point ties at every step: all n!/(n-m)! m-permutations are greedy
+        t = constant_triple(n)
+        for m in range(n + 1):
+            assert count_greedy_permutations(t, t.points(), m) == math.perm(n, m)
+
+    def test_matches_enumeration_on_valid_triples(self):
+        for seed in range(24):
+            t = random_ultra_triple(seed, 2 + seed % 7, 1 + seed % 3)
+            for m in range(t.n + 1):
+                assert count_greedy_permutations(t, t.points(), m) == len(all_greedy_traces(t, t.points(), m))
+
+    def test_matches_enumeration_on_invalid_triples(self):
+        ties6 = read_instance(str(Path(__file__).parent / "golden" / "ties6.json"))
+        rng = random.Random(1101)
+        cases = [(ties6, ties6.points())]
+        for _ in range(40):
+            t = _tie_heavy_triple(rng, rng.randint(1, 7))
+            cases.append((t, sorted(rng.sample(range(t.n), rng.randint(0, t.n)))))
+        for t, C in cases:
+            for m in range(len(C) + 1):
+                assert count_greedy_permutations(t, C, m) == len(all_greedy_traces(t, C, m))
+
+    def test_counts_past_the_default_cap(self):
+        # counting builds no permutation, so no cap applies
+        t = padic_triple(range(16), 2)
+        assert count_greedy_permutations(t, t.points(), 6) == 131_072
+        assert count_greedy_permutations(t, t.points(), 16) > 10**6
+
+    def test_errors(self, parity5):
+        with pytest.raises(ValueError):
+            count_greedy_permutations(parity5, parity5.points(), 6)
+        with pytest.raises(IndexError):
+            count_greedy_permutations(parity5, [0, 9], 1)
+
+
+def test_cap_checked_before_any_trace(monkeypatch):
+    t = padic_triple(range(16), 2)  # 131,072 greedy 6-permutations
+
+    def no_trace(*args):
+        raise AssertionError("a trace was built before the cap was checked")
+
+    monkeypatch.setattr(greedy_module, "GreedyTrace", no_trace)
+    with pytest.raises(ValueError, match=r"^more than cap=1000 greedy permutations$"):
+        all_greedy_traces(t, t.points(), 6, cap=1000)
 
 
 class TestNuBar:
