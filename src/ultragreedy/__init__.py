@@ -1,7 +1,8 @@
 """Greedy maximum-perimeter analysis of finite ultrametric point sets.
 
-Every public name is loaded from its home module on first access, so
-`import ultragreedy.cli` loads only the modules a command uses.
+Every public name is loaded from its home module on first access, and
+`import ultragreedy.cli` registers the modules a command may use as lazy
+ones, so a CLI run executes only the modules its command uses.
 """
 
 from importlib import import_module

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-from .greedy import is_greedy_permutation
-
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test; ample for desk-scale moduli."""
@@ -124,8 +122,10 @@ def check_equivalence(E: Iterable[int], p: int, seq: Sequence[int]) -> bool:
     -v_p triple over E and returns the shared verdict; a disagreement is an
     implementation bug, not a data condition, hence the hard error.
     """
-    # imported here: constructions imports this module at load time
+    # imported here: constructions imports this module at load time, and
+    # `pordering` never runs the greedy side
     from .constructions import padic_log_triple
+    from .greedy import is_greedy_permutation
 
     _check_prime(p)
     pool = _pool(E)

@@ -4,7 +4,8 @@ Instances travel as JSON with rationals encoded as strings like "-7/2", so
 exactness survives serialization; the distance table is lower-triangular,
 making asymmetric input unrepresentable.  Every subcommand prints JSON to
 stdout (or --out) and logs to stderr.  Exit codes: 0 success or property
-holds, 1 property fails, 2 usage or parse error.
+holds, 1 property fails, 2 usage or parse error, or stdout closed by its
+reader before all output was written.
 
 A rational string is an integer or "p/q" with surrounding whitespace
 trimmed: decimal digits, a minus sign only in front, and an unsigned
@@ -17,30 +18,46 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from importlib.util import LazyLoader, find_spec, module_from_spec
 from json.encoder import encode_basestring_ascii
 
-from .bhargava import is_pm_ordering, pm_ordering
-from .core import FullUltraTriple, UltraTriple, rational, validate
-from .greedoid import (
-    SetSystem,
-    bhargava_greedoid,
-    check_axiom_i,
-    check_axiom_ii,
-    check_axiom_iii,
-    check_axiom_iv,
-    check_matroid_bases,
-    level_sets,
-    points_from_mask,
-)
-from .greedy import _greedy_paths, greedy_permutation, greedy_subsequence, nu, nu_bar
-
 TYPE_CHECKING = False  # type checkers read it as True; `typing` is never loaded
+
+
+def _lazy(name: str) -> ModuleType:
+    """The package module `name`, executed on its first attribute access,
+    so that a command compiles and runs only the modules it uses.
+
+    A module already imported is returned as it is, so every caller shares
+    one of each class; a new one is bound on the package, as an import
+    binds it.  Lazy modules rather than imports inside the handlers, because
+    bench/tracer.py finds these four in sys.modules right after
+    `import ultragreedy.cli`; once the tracer no longer patches them, plain
+    local imports can replace this.
+    """
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = find_spec(full)
+        spec.loader = LazyLoader(spec.loader)
+        module = sys.modules[full] = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
 if TYPE_CHECKING:
+    from types import ModuleType
+
+    from . import bhargava, core, greedoid, greedy
     from .constructions import WeightedTree
+else:
+    core, greedy, greedoid, bhargava = map(_lazy, ("core", "greedy", "greedoid", "bhargava"))
 
 
 class InputError(Exception):
@@ -53,7 +70,7 @@ _RATIONAL_FORM = re.compile(r"(-?\d+)(?:/(\d+))?")
 def _rational(value: str | int, what: str) -> Fraction:
     try:
         if not isinstance(value, str):
-            return rational(value)  # a JSON number: floats and bools are refused
+            return core.rational(value)  # a JSON number: floats and bools are refused
         match = _RATIONAL_FORM.fullmatch(value.strip())
         if match is not None:
             num, den = match.groups()
@@ -91,7 +108,9 @@ def _load_json(path: str) -> object:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
-def read_instance(path: str) -> UltraTriple:
+def read_instance(path: str) -> core.UltraTriple:
+    # core is loaded before the document exists, not while it is alive
+    plain, full = core.UltraTriple, core.FullUltraTriple
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
@@ -113,37 +132,38 @@ def read_instance(path: str) -> UltraTriple:
         dist = tuple(tuple(rat(x, "distances") for x in row) for row in doc["distances"])
         if "selfdist" in doc:
             selfdist = tuple(rat(x, "selfdist") for x in doc["selfdist"])
-            return FullUltraTriple(labels, weights, dist, selfdist)
-        return UltraTriple(labels, weights, dist)
+            return full(labels, weights, dist, selfdist)
+        return plain(labels, weights, dist)
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
-def instance_document(t: UltraTriple) -> dict:
+def instance_document(t: core.UltraTriple) -> dict:
     doc: dict = {
         "points": list(t.labels),
         "weights": [str(w) for w in t.weights],
         "distances": [[str(x) for x in row] for row in t.dist],
     }
-    if isinstance(t, FullUltraTriple):
+    if isinstance(t, core.FullUltraTriple):
         doc["selfdist"] = [str(x) for x in t.selfdist]
     return doc
 
 
-def read_set_system(path: str) -> SetSystem:
+def read_set_system(path: str) -> greedoid.SetSystem:
+    system = greedoid.SetSystem  # loaded before the document exists
     doc = _load_json(path)
     try:
         ground = doc["ground"]
         if not isinstance(ground, int) or isinstance(ground, bool):
             raise ValueError(f"ground must be an integer, got {ground!r}")
-        return SetSystem.from_point_sets(ground, doc["sets"])
+        return system.from_point_sets(ground, doc["sets"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad set system: {exc}") from None
 
 
-def _resolve_subset(t: UltraTriple, arg: str | None) -> list[int]:
+def _resolve_subset(t: core.UltraTriple, arg: str | None) -> list[int]:
     if arg is None:
         return list(t.points())
     out = []
@@ -177,7 +197,7 @@ def _json_list(items: list[str]) -> str:
 
 
 def _traces_json(
-    t: UltraTriple, mode: str, traces: Iterable[tuple[Sequence[int], Sequence[Fraction]]]
+    t: core.UltraTriple, mode: str, traces: Iterable[tuple[Sequence[int], Sequence[Fraction]]]
 ) -> Iterator[str]:
     """{"mode", "traces": [{"points", "increments", "prefix_perimeters"}]}
     for (points, increments) pairs, in chunks, one per trace, whose
@@ -221,7 +241,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     t = read_instance(args.instance)
     if t.n > args.cap:
         raise InputError(f"{t.n} points exceed the validate cap {args.cap}")
-    report = validate(t)
+    report = core.validate(t)
     doc = {
         "ok": report.ok,
         "violations": [
@@ -242,19 +262,19 @@ def cmd_greedy(args: argparse.Namespace) -> int:
     pts = _resolve_subset(t, args.subset)
     m = len(pts) if args.m is None else args.m
     if args.mode == "subseq":
-        if not isinstance(t, FullUltraTriple):
+        if not isinstance(t, core.FullUltraTriple):
             raise InputError("subsequence mode needs a full triple (selfdist field)")
         if args.ties == "all":
             raise InputError("--ties all supports permutation mode only")
-        trace = greedy_subsequence(t, pts, m)
+        trace = greedy.greedy_subsequence(t, pts, m)
         paths = [(trace.points, trace.increments)]
         mode = "subsequence"
     else:
         if args.ties == "all":
             # counted and held to the cap here, before the first byte is written
-            paths = _greedy_paths(t, pts, m, args.cap)
+            paths = greedy._greedy_paths(t, pts, m, args.cap)
         else:
-            trace = greedy_permutation(t, pts, m)
+            trace = greedy.greedy_permutation(t, pts, m)
             paths = [(trace.points, trace.increments)]
         mode = "permutation"
     _emit(_traces_json(t, mode, paths), args.out)
@@ -265,27 +285,32 @@ def cmd_nu(args: argparse.Namespace) -> int:
     t = read_instance(args.instance)
     pts = _resolve_subset(t, args.subset)
     if args.mode == "subseq":
-        if not isinstance(t, FullUltraTriple):
+        if not isinstance(t, core.FullUltraTriple):
             raise InputError("subsequence mode needs a full triple (selfdist field)")
-        value = nu(t, pts, args.k)
+        value = greedy.nu(t, pts, args.k)
     else:
-        value = nu_bar(t, pts, args.k)
+        value = greedy.nu_bar(t, pts, args.k)
     _emit(json.dumps(str(value)), args.out)
     return 0
 
 
-def _axiom_documents(s: SetSystem) -> tuple[list[dict], bool]:
-    reports = [check_axiom_i(s), check_axiom_ii(s), check_axiom_iii(s), check_axiom_iv(s)]
+def _axiom_documents(s: greedoid.SetSystem) -> tuple[list[dict], bool]:
+    reports = [
+        greedoid.check_axiom_i(s),
+        greedoid.check_axiom_ii(s),
+        greedoid.check_axiom_iii(s),
+        greedoid.check_axiom_iv(s),
+    ]
     docs = [{"axiom": r.axiom, "holds": r.holds, "witness": r.witness} for r in reports]
     return docs, all(r.holds for r in reports)
 
 
-def _matroid_documents(s: SetSystem) -> tuple[list[dict], bool]:
+def _matroid_documents(s: greedoid.SetSystem) -> tuple[list[dict], bool]:
     cards = sorted({m.bit_count() for m in s.sets})
     docs = []
     ok = True
     for k in cards:
-        report = check_matroid_bases(level_sets(s, k))
+        report = greedoid.check_matroid_bases(greedoid.level_sets(s, k))
         docs.append({"k": k, "holds": report.holds, "witness": report.witness})
         ok = ok and report.holds
     return docs, ok
@@ -299,12 +324,12 @@ def cmd_greedoid(args: argparse.Namespace) -> int:
         s = read_set_system(args.system)
     else:
         t = read_instance(args.instance)
-        s = bhargava_greedoid(t, cap=args.cap)
+        s = greedoid.bhargava_greedoid(t, cap=args.cap)
         labels = list(t.labels)
     if args.emit == "sets":
         levels = []
         for k in sorted({m.bit_count() for m in s.sets}):
-            members = [list(points_from_mask(m)) for m in level_sets(s, k).members()]
+            members = [list(greedoid.points_from_mask(m)) for m in greedoid.level_sets(s, k).members()]
             levels.append({"k": k, "sets": members})
         doc: dict = {"ground": s.ground, "levels": levels}
         if labels is not None:
@@ -420,11 +445,11 @@ def cmd_pordering(args: argparse.Namespace) -> int:
     if not points:
         raise InputError("--points must name at least one integer")
     if args.check is not None:
-        verdict = is_pm_ordering(points, args.p, _int_list(args.check, "--check"))
+        verdict = bhargava.is_pm_ordering(points, args.p, _int_list(args.check, "--check"))
         _emit(json.dumps(verdict), args.out)
         return 0 if verdict else 1
     m = len(points) if args.m is None else args.m
-    seq = pm_ordering(points, args.p, m)
+    seq = bhargava.pm_ordering(points, args.p, m)
     _emit(json.dumps(seq), args.out)
     return 0
 
@@ -514,9 +539,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the final flush at exit
+        return code
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout early; what is still buffered goes to the
+        # null device, so the interpreter's flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before all output was written", file=sys.stderr)
         return 2
     finally:
         sys.set_int_max_str_digits(limit)

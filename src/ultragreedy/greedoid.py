@@ -15,7 +15,6 @@ from collections.abc import Iterable
 from itertools import chain
 
 from .core import UltraTriple, _Record, perimeter_set, projections, validate
-from .greedy import _set_dag
 
 AXIOMS = ("i", "ii", "iii", "iv", "matroid-exchange")
 
@@ -122,6 +121,8 @@ def bhargava_greedoid(t: UltraTriple, cap: int = 16) -> SetSystem:
 
         levels = (brute_max_perimeter(t, range(n), k, cap).argmax for k in range(n + 1))
         return SetSystem.from_point_sets(n, chain.from_iterable(levels))
+    from .greedy import _set_dag  # here: `greedoid --system` never runs greedy
+
     levels, _ = _set_dag(t, range(n), n)
     for k, nodes in enumerate(levels):
         top = next(iter(nodes.values()))[0]

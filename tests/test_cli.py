@@ -607,6 +607,21 @@ class TestParsing:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)["traces"][0]["points"] == ["caf\u00e9", "b"]
 
+    def test_reader_closing_stdout_early_exits_2_without_traceback(self, capsys, tmp_path):
+        # `| head -c 100` on about 1 MB of traces: the reader leaves while
+        # the command is still writing
+        path = tmp_path / "p.json"
+        points = ",".join(str(x) for x in range(16))
+        assert run(capsys, "generate", "--family", "padic", "--points", points, "--p", "2", "--out", str(path))[0] == 0
+        argv = [sys.executable, "-m", "ultragreedy", "greedy", str(path), "--m", "4", "--ties", "all"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait()
+        assert head.startswith(b'{\n  "mode": "permutation",')
+        assert (code, err) == (2, "error: stdout closed before all output was written\n")
+
 
 @contextmanager
 def _unlimited_digits():

@@ -7,12 +7,15 @@ the other test modules have long since imported everything.
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ultragreedy
 from ultragreedy.cli import read_instance
+from ultragreedy.constructions import padic_triple
+from ultragreedy.greedy import nu_bar
 from ultragreedy.oracle import brute_max_perimeter
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,6 +43,65 @@ def test_cli_import_loads_only_what_commands_share():
     # must stay loaded by that import
     for name in ("core", "greedy", "greedoid", "bhargava"):
         assert f"ultragreedy.{name}" in got["all"]
+
+
+# subcommand arguments (instance names under tests/golden) -> the exit code
+# and the package modules the run executes
+EXECUTED = [
+    (["validate", "padic6.json"], 0, {"cli", "core"}),
+    (["greedy", "padic6.json"], 0, {"cli", "core", "greedy"}),
+    (["greedy", "padic6.json", "--m", "3", "--ties", "all"], 0, {"cli", "core", "greedy"}),
+    (["nu", "padic6.json", "--k", "3"], 0, {"cli", "core", "greedy"}),
+    (["pordering", "--p", "2", "--points", "0,1,2,9,17"], 0, {"cli", "bhargava"}),
+    (["pordering", "--p", "2", "--points", "0,1,2,9,17", "--check", "0,1,2"], 0, {"cli", "bhargava"}),
+    (["greedoid", "padic6.json"], 0, {"cli", "core", "greedy", "greedoid"}),
+    (["greedoid", "--system", "planted5.system.json"], 1, {"cli", "core", "greedoid"}),
+]
+
+
+@pytest.mark.parametrize(("argv", "code", "modules"), EXECUTED, ids=[" ".join(a) for a, _, _ in EXECUTED])
+def test_command_executes_only_its_modules(argv, code, modules):
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    got = _fresh(
+        "import io, json, sys, types\n"
+        "from contextlib import redirect_stdout\n"
+        "from ultragreedy.cli import main\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "# a lazy module still to run is not a plain module; this test runs none\n"
+        "run = [n for n, m in sys.modules.items() if n.startswith('ultragreedy.') and type(m) is types.ModuleType]\n"
+        "print(json.dumps({'code': code, 'run': sorted(run)}))\n"
+    )
+    assert got == {"code": code, "run": sorted(f"ultragreedy.{name}" for name in modules)}
+
+
+def test_cli_uses_a_core_imported_before_it():
+    instance = str(GOLDEN / "padic6.json")
+    got = _fresh(
+        "import json\n"
+        "import ultragreedy.core as core\n"
+        "import ultragreedy\n"
+        "import ultragreedy.cli as cli\n"
+        f"t = cli.read_instance({instance!r})\n"
+        "print(json.dumps([cli.core is core, ultragreedy.core is core, isinstance(t, core.UltraTriple)]))\n"
+    )
+    assert got == [True, True, True]
+
+
+def test_submodule_import_after_cli_binds_the_loaded_module():
+    got = _fresh(
+        "import json\n"
+        "import ultragreedy.cli\n"
+        "import ultragreedy.greedy\n"
+        "from ultragreedy.greedy import nu_bar\n"
+        "from ultragreedy import padic_triple\n"
+        "t = padic_triple([0, 1, 2, 3], 2)\n"
+        "print(json.dumps([str(ultragreedy.greedy.nu_bar(t, range(4), 2)),\n"
+        "                  ultragreedy.greedy is ultragreedy.cli.greedy,\n"
+        "                  nu_bar is ultragreedy.greedy.nu_bar is ultragreedy.nu_bar]))\n"
+    )
+    assert got[1:] == [True, True]
+    assert Fraction(got[0]) == nu_bar(padic_triple([0, 1, 2, 3], 2), range(4), 2)
 
 
 def test_cli_import_never_loads_typing():
