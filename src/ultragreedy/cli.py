@@ -4,8 +4,10 @@ Instances travel as JSON with rationals encoded as strings like "-7/2", so
 exactness survives serialization; the distance table is lower-triangular,
 making asymmetric input unrepresentable.  Every subcommand prints JSON to
 stdout (or --out) and logs to stderr.  Exit codes: 0 success or property
-holds, 1 property fails, 2 usage or parse error, or stdout closed by its
-reader before all output was written.
+holds, 1 property fails, 2 usage or parse error, an --out that cannot be
+written, or stdout closed by its reader before all output was written.
+Each handler computes and returns its output and exit code; `main` alone
+writes the output and maps errors to exit codes.
 
 A rational string is an integer or "p/q" with surrounding whitespace
 trimmed: decimal digits, a minus sign only in front, and an unsigned
@@ -126,12 +128,19 @@ def read_instance(path: str) -> core.UltraTriple:
             value = memo[x] = _rational(x, what)
         return value
 
+    def array(x: object, what: str) -> list:
+        # a string or an object would iterate as characters or keys
+        if not isinstance(x, list):
+            raise InputError(f"{path}: {what} must be an array, got {type(x).__name__}")
+        return x
+
     try:
-        labels = tuple(str(x) for x in doc["points"])
-        weights = tuple(rat(x, "weights") for x in doc["weights"])
-        dist = tuple(tuple(rat(x, "distances") for x in row) for row in doc["distances"])
+        labels = tuple(str(x) for x in array(doc["points"], "points"))
+        weights = tuple(rat(x, "weights") for x in array(doc["weights"], "weights"))
+        rows = array(doc["distances"], "distances")
+        dist = tuple(tuple(rat(x, "distances") for x in array(row, "each distances row")) for row in rows)
         if "selfdist" in doc:
-            selfdist = tuple(rat(x, "selfdist") for x in doc["selfdist"])
+            selfdist = tuple(rat(x, "selfdist") for x in array(doc["selfdist"], "selfdist"))
             return full(labels, weights, dist, selfdist)
         return plain(labels, weights, dist)
     except KeyError as exc:
@@ -158,36 +167,48 @@ def read_set_system(path: str) -> greedoid.SetSystem:
         ground = doc["ground"]
         if not isinstance(ground, int) or isinstance(ground, bool):
             raise ValueError(f"ground must be an integer, got {ground!r}")
-        return system.from_point_sets(ground, doc["sets"])
+        sets = doc["sets"]
+        if not isinstance(sets, list) or not all(isinstance(f, list) for f in sets):
+            raise ValueError("sets must be an array of arrays")
+        return system.from_point_sets(ground, sets)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad set system: {exc}") from None
 
 
-def _resolve_subset(t: core.UltraTriple, arg: str | None) -> list[int]:
-    if arg is None:
-        return list(t.points())
-    out = []
-    for part in _split(arg):
-        label = part.strip()
-        try:
-            out.append(t.index_of(label))
-        except KeyError:
-            raise InputError(f"unknown point label {label!r}") from None
-    return list(dict.fromkeys(out))  # the library reads C as a set
+def _selection(args: argparse.Namespace) -> tuple[core.UltraTriple, list[int]]:
+    """The instance and the --subset points of `greedy` and `nu`; subsequence
+    mode needs a full triple."""
+    t = read_instance(args.instance)
+    if args.subset is None:
+        pts = list(t.points())
+    else:
+        chosen = []
+        for part in _split(args.subset):
+            label = part.strip()
+            try:
+                chosen.append(t.index_of(label))
+            except KeyError:
+                raise InputError(f"unknown point label {label!r}") from None
+        pts = list(dict.fromkeys(chosen))  # the library reads C as a set
+    if args.mode == "subseq" and not isinstance(t, core.FullUltraTriple):
+        raise InputError("subsequence mode needs a full triple (selfdist field)")
+    return t, pts
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
-    """Write text, or its chunks in order, and a newline to stdout or to out."""
+    """Write text, or its chunks in order, and a newline to stdout or to out;
+    a file that cannot be written is an InputError."""
     chunks = (text,) if isinstance(text, str) else text
     if out is None:
-        write = sys.stdout.write
-        for chunk in chunks:
-            write(chunk)
-        write("\n")
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
     else:
-        with open(out, "w") as f:
-            f.writelines(chunks)
-            f.write("\n")
+        try:
+            with open(out, "w") as f:
+                f.writelines(chunks)
+                f.write("\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from None
         print(f"wrote {out}", file=sys.stderr)
 
 
@@ -237,7 +258,7 @@ def _traces_json(
     yield "[]\n}" if sep == "[\n" else "\n  ]\n}"
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
     t = read_instance(args.instance)
     if t.n > args.cap:
         raise InputError(f"{t.n} points exceed the validate cap {args.cap}")
@@ -253,97 +274,58 @@ def cmd_validate(args: argparse.Namespace) -> int:
             for v in report.violations
         ],
     }
-    _emit(json.dumps(doc, indent=2), args.out)
-    return 0 if report.ok else 1
+    return json.dumps(doc, indent=2), 0 if report.ok else 1
 
 
-def cmd_greedy(args: argparse.Namespace) -> int:
-    t = read_instance(args.instance)
-    pts = _resolve_subset(t, args.subset)
+def cmd_greedy(args: argparse.Namespace) -> tuple[Iterator[str], int]:
+    t, pts = _selection(args)
     m = len(pts) if args.m is None else args.m
-    if args.mode == "subseq":
-        if not isinstance(t, core.FullUltraTriple):
-            raise InputError("subsequence mode needs a full triple (selfdist field)")
-        if args.ties == "all":
+    if args.ties == "all":
+        if args.mode == "subseq":
             raise InputError("--ties all supports permutation mode only")
-        trace = greedy.greedy_subsequence(t, pts, m)
+        # counted and held to the cap here, before the first byte is written
+        paths = greedy._greedy_paths(t, pts, m, args.cap)
+    else:
+        select = greedy.greedy_subsequence if args.mode == "subseq" else greedy.greedy_permutation
+        trace = select(t, pts, m)
         paths = [(trace.points, trace.increments)]
-        mode = "subsequence"
-    else:
-        if args.ties == "all":
-            # counted and held to the cap here, before the first byte is written
-            paths = greedy._greedy_paths(t, pts, m, args.cap)
-        else:
-            trace = greedy.greedy_permutation(t, pts, m)
-            paths = [(trace.points, trace.increments)]
-        mode = "permutation"
-    _emit(_traces_json(t, mode, paths), args.out)
-    return 0
+    return _traces_json(t, "subsequence" if args.mode == "subseq" else "permutation", paths), 0
 
 
-def cmd_nu(args: argparse.Namespace) -> int:
-    t = read_instance(args.instance)
-    pts = _resolve_subset(t, args.subset)
-    if args.mode == "subseq":
-        if not isinstance(t, core.FullUltraTriple):
-            raise InputError("subsequence mode needs a full triple (selfdist field)")
-        value = greedy.nu(t, pts, args.k)
-    else:
-        value = greedy.nu_bar(t, pts, args.k)
-    _emit(json.dumps(str(value)), args.out)
-    return 0
+def cmd_nu(args: argparse.Namespace) -> tuple[str, int]:
+    t, pts = _selection(args)
+    value = (greedy.nu if args.mode == "subseq" else greedy.nu_bar)(t, pts, args.k)
+    return json.dumps(str(value)), 0
 
 
-def _axiom_documents(s: greedoid.SetSystem) -> tuple[list[dict], bool]:
-    reports = [
-        greedoid.check_axiom_i(s),
-        greedoid.check_axiom_ii(s),
-        greedoid.check_axiom_iii(s),
-        greedoid.check_axiom_iv(s),
-    ]
-    docs = [{"axiom": r.axiom, "holds": r.holds, "witness": r.witness} for r in reports]
-    return docs, all(r.holds for r in reports)
-
-
-def _matroid_documents(s: greedoid.SetSystem) -> tuple[list[dict], bool]:
-    cards = sorted({m.bit_count() for m in s.sets})
-    docs = []
-    ok = True
-    for k in cards:
-        report = greedoid.check_matroid_bases(greedoid.level_sets(s, k))
-        docs.append({"k": k, "holds": report.holds, "witness": report.witness})
-        ok = ok and report.holds
-    return docs, ok
-
-
-def cmd_greedoid(args: argparse.Namespace) -> int:
+def cmd_greedoid(args: argparse.Namespace) -> tuple[str, int]:
     if (args.instance is None) == (args.system is None):
         raise InputError("give exactly one of an instance file or --system")
-    labels = None
     if args.system is not None:
         s = read_set_system(args.system)
     else:
         t = read_instance(args.instance)
         s = greedoid.bhargava_greedoid(t, cap=args.cap)
-        labels = list(t.labels)
+    levels = s.levels()
     if args.emit == "sets":
-        levels = []
-        for k in sorted({m.bit_count() for m in s.sets}):
-            members = [list(greedoid.points_from_mask(m)) for m in greedoid.level_sets(s, k).members()]
-            levels.append({"k": k, "sets": members})
-        doc: dict = {"ground": s.ground, "levels": levels}
-        if labels is not None:
-            doc["labels"] = labels
-        _emit(json.dumps(doc, indent=2), args.out)
-        return 0
-    axiom_docs, axioms_ok = _axiom_documents(s)
-    matroid_docs, matroid_ok = _matroid_documents(s)
-    doc = {"axioms": axiom_docs, "matroid": matroid_docs, "all_hold": axioms_ok and matroid_ok}
-    _emit(json.dumps(doc, indent=2), args.out)
-    return 0 if axioms_ok and matroid_ok else 1
+        sets = [{"k": k, "sets": [list(greedoid.points_from_mask(m)) for m in masks]} for k, masks in levels.items()]
+        doc: dict = {"ground": s.ground, "levels": sets}
+        if args.system is None:
+            doc["labels"] = list(t.labels)
+        return json.dumps(doc, indent=2), 0
+    checks = (greedoid.check_axiom_i, greedoid.check_axiom_ii, greedoid.check_axiom_iii, greedoid.check_axiom_iv)
+    axioms = [check(s) for check in checks]
+    matroid = {k: greedoid.check_matroid_bases(greedoid.SetSystem(s.ground, masks)) for k, masks in levels.items()}
+    ok = all(r.holds for r in axioms) and all(r.holds for r in matroid.values())
+    doc = {
+        "axioms": [{"axiom": r.axiom, "holds": r.holds, "witness": r.witness} for r in axioms],
+        "matroid": [{"k": k, "holds": r.holds, "witness": r.witness} for k, r in matroid.items()],
+        "all_hold": ok,
+    }
+    return json.dumps(doc, indent=2), 0 if ok else 1
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: argparse.Namespace) -> tuple[str, int]:
     from .constructions import constant_triple, mod_triple, padic_log_triple, padic_triple, rseq_triple
 
     family = args.family
@@ -384,15 +366,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if args.n is None:
             raise InputError("--family random needs --n")
         t = random_ultra_triple(args.seed, args.n, args.depth)
-    _emit(json.dumps(instance_document(t), indent=2), args.out)
-    return 0
+    return json.dumps(instance_document(t), indent=2), 0
 
 
 def parse_tree_file(path: str) -> WeightedTree:
     from .constructions import WeightedTree
 
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:  # whatever the locale, as JSON input
             lines = f.read().splitlines()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
@@ -432,26 +413,22 @@ def parse_tree_file(path: str) -> WeightedTree:
         raise InputError(f"{path}: {exc}") from None
 
 
-def cmd_tree(args: argparse.Namespace) -> int:
+def cmd_tree(args: argparse.Namespace) -> tuple[str, int]:
     from .constructions import tree_triple
 
     t = tree_triple(parse_tree_file(args.tree))
-    _emit(json.dumps(instance_document(t), indent=2), args.out)
-    return 0
+    return json.dumps(instance_document(t), indent=2), 0
 
 
-def cmd_pordering(args: argparse.Namespace) -> int:
+def cmd_pordering(args: argparse.Namespace) -> tuple[str, int]:
     points = _int_list(args.points, "--points")
     if not points:
         raise InputError("--points must name at least one integer")
     if args.check is not None:
         verdict = bhargava.is_pm_ordering(points, args.p, _int_list(args.check, "--check"))
-        _emit(json.dumps(verdict), args.out)
-        return 0 if verdict else 1
+        return json.dumps(verdict), 0 if verdict else 1
     m = len(points) if args.m is None else args.m
-    seq = bhargava.pm_ordering(points, args.p, m)
-    _emit(json.dumps(seq), args.out)
-    return 0
+    return json.dumps(bhargava.pm_ordering(points, args.p, m)), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check the ultrametric inequality of an instance")
     p.add_argument("instance")
     p.add_argument("--cap", type=int, default=64, help="maximum point count (default: %(default)s)")
-    p.add_argument("--out")
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("greedy", help="run or enumerate greedy selections")
@@ -477,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("perm", "subseq"), default="perm")
     p.add_argument("--ties", choices=("first", "all"), default="first")
     p.add_argument("--cap", type=int, default=10**6, help="enumeration cap for --ties all (default: %(default)s)")
-    p.add_argument("--out")
     p.set_defaults(handler=cmd_greedy)
 
     p = sub.add_parser("nu", help="k-th greedy perimeter increment")
@@ -485,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=("perm", "subseq"), default="perm")
-    p.add_argument("--out")
     p.set_defaults(handler=cmd_nu)
 
     p = sub.add_parser("greedoid", help="emit or check the maximum-perimeter set system")
@@ -493,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", help="check a set-system JSON file instead of an instance")
     p.add_argument("--emit", choices=("sets", "check"), default="check")
     p.add_argument("--cap", type=int, default=16, help="ground-size cap for materialization (default: %(default)s)")
-    p.add_argument("--out")
     p.set_defaults(handler=cmd_greedoid)
 
     p = sub.add_parser("generate", help="write an instance of a standard family")
@@ -509,12 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", help="comma-separated weakly decreasing rationals; --c=-1,-2 when the first is negative")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--out")
     p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("tree", help="instance from a weighted tree file")
     p.add_argument("tree")
-    p.add_argument("--out")
     p.set_defaults(handler=cmd_tree)
 
     p = sub.add_parser("pordering", help="compute or check integer P-orderings")
@@ -522,9 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True, help="comma-separated integers; --points=-3,5 when the first is negative")
     p.add_argument("--m", type=int)
     p.add_argument("--check", help="comma-separated sequence to test; --check=-3,5 when the first is negative")
-    p.add_argument("--out")
     p.set_defaults(handler=cmd_pordering)
 
+    for p in sub.choices.values():  # every command's output goes through `main`'s one write
+        p.add_argument("--out")
     return parser
 
 
@@ -539,7 +511,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        code = args.handler(args)
+        payload, code = args.handler(args)
+        _emit(payload, args.out)
         sys.stdout.flush()  # a closed pipe shows here, not in the final flush at exit
         return code
     except (InputError, ValueError) as exc:

@@ -71,9 +71,16 @@ class SetSystem(_Record):
                 raise ValueError(f"point {_shown(a)} does not fit in ground size {_shown(ground)}")
         return cls(ground, frozenset(mask_from_points(s) for s in families))
 
+    def levels(self) -> dict[int, list[int]]:
+        """{k: the members of cardinality k, sorted numerically}, in ascending k."""
+        levels: dict[int, list[int]] = {}
+        for m in sorted(self.sets):
+            levels.setdefault(m.bit_count(), []).append(m)
+        return dict(sorted(levels.items()))
+
     def members(self) -> list[int]:
         """Masks sorted by cardinality, then numerically: a stable ordering."""
-        return sorted(self.sets, key=lambda m: (m.bit_count(), m))
+        return list(chain.from_iterable(self.levels().values()))
 
     def member_points(self) -> list[tuple[int, ...]]:
         return [points_from_mask(m) for m in self.members()]
@@ -172,12 +179,10 @@ def _check_pairs(s: SetSystem, axiom: str) -> AxiomReport:
     (A, B) with |B| = |A|+1 and no x in B - A extending A (and, for (iv),
     also leaving B - x) inside the system is the witness."""
     ext, dele = _exchange_maps(s)
-    by_card: dict[int, list[int]] = {}
-    for m in s.members():
-        by_card.setdefault(m.bit_count(), []).append(m)
-    for k, As in sorted(by_card.items()):
+    levels = s.levels()
+    for k, As in levels.items():
         exts = [(A, ext.get(A, 0)) for A in As]
-        for B in by_card.get(k + 1, ()):
+        for B in levels.get(k + 1, ()):
             mask = B & dele[B] if axiom == "iv" else B
             for A, e in exts:
                 if not mask & e:
@@ -206,13 +211,13 @@ def check_matroid_bases(s: SetSystem) -> AxiomReport:
 
     Mixed cardinalities are a usage error, not a failed axiom.
     """
-    cards = {m.bit_count() for m in s.sets}
-    if len(cards) > 1:
-        raise ValueError(f"members have mixed cardinalities {sorted(cards)}")
-    if not s.sets:
+    levels = s.levels()
+    if len(levels) > 1:
+        raise ValueError(f"members have mixed cardinalities {list(levels)}")
+    if not levels:
         return AxiomReport("matroid-exchange", False, {"empty": True})
     ext, _ = _exchange_maps(s)
-    members = s.members()
+    (members,) = levels.values()
     for B1 in members:
         # x fails against B2 when B2 holds neither x nor a y with B1 - x + y a member
         blocks = [(x, (1 << x) | ext[B1 ^ (1 << x)]) for x in points_from_mask(B1)]

@@ -576,6 +576,33 @@ class TestReadInstance:
             code, out, err = run(capsys, "validate", path)
             assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # each of these once iterated as characters or keys into a valid triple
+            ("points", "abc", "points must be an array, got str"),
+            ("points", {"a": 0, "b": 0, "c": 0}, "points must be an array, got dict"),
+            ("weights", "110", "weights must be an array, got str"),
+            ("weights", {"1": 0, "1/1": 0, "0": 0}, "weights must be an array, got dict"),
+            ("distances", ["", "2"], "each distances row must be an array, got str"),
+            ("distances", [{}, {"2": 0}, {"2": 0, "1/2": 0}], "each distances row must be an array, got dict"),
+            ("distances", {"": 0, "2": 0}, "distances must be an array, got dict"),
+            ("selfdist", "222", "selfdist must be an array, got str"),
+            ("selfdist", {"2": 0, "4/2": 0, "2/1": 0}, "selfdist must be an array, got dict"),
+        ],
+    )
+    def test_fields_must_be_arrays(self, capsys, tmp_path, field, value, message):
+        path = self._write(tmp_path, **{field: value})
+        code, out, err = run(capsys, "greedy", path)
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("sets", [{}, "", [""], [{}], [[], "01"], [[], {"0": 1}]])
+    def test_sets_must_be_an_array_of_arrays(self, capsys, tmp_path, sets):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"ground": 2, "sets": sets}))
+        code, out, err = run(capsys, "greedoid", "--system", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: bad set system: sets must be an array of arrays\n")
+
 
 class TestParsing:
     def test_no_arguments(self, capsys):
@@ -606,6 +633,30 @@ class TestParsing:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)["traces"][0]["points"] == ["caf\u00e9", "b"]
+
+    def test_tree_read_as_utf8_under_ascii_locale(self, tmp_path):
+        path = tmp_path / "cafe.txt"
+        path.write_bytes("root r\nr caf\u00e9 1\nr b 2\n".encode())
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ultragreedy", "tree", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["points"] == ["caf\u00e9", "b"]
+
+    @pytest.mark.parametrize("target", ["dir", "missing/out.json"])
+    def test_unwritable_out_exits_2(self, capsys, parity5_file, tmp_path, target):
+        (tmp_path / "dir").mkdir()
+        out_path = tmp_path / target
+        # a whole document, and greedy's stream of chunks
+        for argv in (["generate", "--family", "constant", "--n", "3"], ["greedy", str(parity5_file), "--ties", "all"]):
+            code, out, err = run(capsys, *argv, "--out", str(out_path))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
     def test_reader_closing_stdout_early_exits_2_without_traceback(self, capsys, tmp_path):
         # `| head -c 100` on about 1 MB of traces: the reader leaves while

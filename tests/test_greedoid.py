@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -31,8 +32,10 @@ from ultragreedy import (
     validate,
 )
 from ultragreedy import greedoid
+from ultragreedy.cli import read_instance, read_set_system
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def system(ground, *families):
@@ -91,6 +94,36 @@ class TestSetSystem:
     def test_members_sorted_by_size_then_mask(self):
         s = system(3, [2], [0, 1], [], [0])
         assert s.member_points() == [(), (0,), (2,), (0, 1)]
+
+
+def _named_system(name):
+    if name == "empty":
+        return SetSystem(3, frozenset())
+    if name.endswith(".system.json"):
+        return read_set_system(str(GOLDEN / name))
+    return bhargava_greedoid(read_instance(str(GOLDEN / name)))
+
+
+class TestLevels:
+    def test_ascending_sizes_then_numeric(self):
+        s = system(4, [3], [0, 1], [], [2], [0], [1, 2, 3], [0, 2])
+        levels = s.levels()
+        assert list(levels) == [0, 1, 2, 3]
+        assert levels == {0: [0], 1: [0b1, 0b100, 0b1000], 2: [0b11, 0b101], 3: [0b1110]}
+
+    @pytest.mark.parametrize("name", ["parity5.json", "padic6.json", "ties6.json", "planted5.system.json", "empty"])
+    def test_members_and_level_sets_agree(self, name):
+        s = _named_system(name)
+        levels = s.levels()
+        assert all(levels.values())  # only the sizes that occur
+        assert s.members() == [m for masks in levels.values() for m in masks]
+        assert s.members() == sorted(s.sets, key=lambda m: (m.bit_count(), m))
+        for k in range(s.ground + 2):
+            assert level_sets(s, k).members() == levels.get(k, [])
+
+    def test_mixed_cardinalities_named_in_order(self):
+        with pytest.raises(ValueError, match=r"^members have mixed cardinalities \[0, 1, 3\]$"):
+            check_matroid_bases(system(3, (0, 1, 2), (1,), ()))
 
 
 class TestAxiomReport:
