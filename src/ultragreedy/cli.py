@@ -134,13 +134,22 @@ def read_instance(path: str) -> core.UltraTriple:
             raise InputError(f"{path}: {what} must be an array, got {type(x).__name__}")
         return x
 
+    def rats(row: list, what: str) -> tuple[Fraction, ...]:
+        # a row of strings already seen is looked up at C speed; any other
+        # entry (a new string, a number, an unhashable) sends the whole row
+        # through `rat`, so errors and their order are those of `rat`
+        try:
+            return tuple(map(memo.__getitem__, row))
+        except (KeyError, TypeError):
+            return tuple(rat(x, what) for x in row)
+
     try:
         labels = tuple(str(x) for x in array(doc["points"], "points"))
-        weights = tuple(rat(x, "weights") for x in array(doc["weights"], "weights"))
+        weights = rats(array(doc["weights"], "weights"), "weights")
         rows = array(doc["distances"], "distances")
-        dist = tuple(tuple(rat(x, "distances") for x in array(row, "each distances row")) for row in rows)
+        dist = tuple(rats(array(row, "each distances row"), "distances") for row in rows)
         if "selfdist" in doc:
-            selfdist = tuple(rat(x, "selfdist") for x in array(doc["selfdist"], "selfdist"))
+            selfdist = rats(array(doc["selfdist"], "selfdist"), "selfdist")
             return full(labels, weights, dist, selfdist)
         return plain(labels, weights, dist)
     except KeyError as exc:
@@ -163,6 +172,8 @@ def instance_document(t: core.UltraTriple) -> dict:
 def read_set_system(path: str) -> greedoid.SetSystem:
     system = greedoid.SetSystem  # loaded before the document exists
     doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: top level must be an object")
     try:
         ground = doc["ground"]
         if not isinstance(ground, int) or isinstance(ground, bool):
@@ -377,6 +388,8 @@ def parse_tree_file(path: str) -> WeightedTree:
             lines = f.read().splitlines()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not valid UTF-8: {exc}") from None
     edges: list[tuple[str, str, Fraction]] = []
     root = None
     leaves: tuple[str, ...] | None = None

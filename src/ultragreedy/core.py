@@ -32,7 +32,11 @@ def rational(value: int | str | Fraction) -> Fraction:
 
 
 def _freeze_rationals(values: Iterable[int | str | Fraction]) -> tuple[Fraction, ...]:
-    # exact Fractions (e.g. from a parsed file) are immutable: keep them as they are
+    # exact Fractions (e.g. from a parsed file) are immutable: keep them as
+    # they are, and a tuple of nothing else as it is, checked at C speed
+    values = tuple(values)
+    if set(map(type, values)) <= {Fraction}:
+        return values
     return tuple(v if type(v) is Fraction else rational(v) for v in values)
 
 

@@ -7,6 +7,8 @@ self-distances matter (full triples only).  The k-th perimeter increment of
 a greedy trace is independent of how ties were broken, which makes the
 `nu_bar`/`nu` invariants well-defined.  Every increment this module returns
 is computed by the engine; `extend_greedy` recomputes its prefix's too.
+The engine keeps its gains as integers over a common denominator (see
+`_scaled`); Fractions are made only for the values it returns.
 Tie enumeration and counting run the engine once per distinct set of picks,
 on the set DAG of `_set_dag`, which `greedoid.bhargava_greedoid` shares.
 """
@@ -53,24 +55,43 @@ class GreedyTrace(_Record):
         return tuple(out)
 
 
-def _step(t: UltraTriple, gains: dict[int, Fraction], c: int, keep: bool) -> dict[int, Fraction]:
-    """The gains after picking c: every candidate x gains d(c, x).
+def _scaled(L: int, gains: dict[int, int], adds: dict[int, Fraction]) -> tuple[int, dict[int, int]]:
+    """The gain vector (L, gains) plus `adds`, on the keys of `adds`.
+
+    A gain vector (L, {x: g}) holds the gain g/L of each candidate x, with
+    L the lcm of every denominator the vector has read, so comparing and
+    adding gains is exact integer work.  A new denominator in `adds` grows
+    L to M, and the old gains are scaled by M // L as they are added to.
+    """
+    M = math.lcm(L, *{v.denominator for v in adds.values()})
+    s = M // L
+    return M, {x: gains[x] * s + v.numerator * (M // v.denominator) for x, v in adds.items()}
+
+
+def _start(t: UltraTriple, pts: list[int]) -> tuple[int, dict[int, int]]:
+    """The gain vector before any pick: each candidate's weight."""
+    return _scaled(1, dict.fromkeys(pts, 0), {x: t.weights[x] for x in pts})
+
+
+def _step(t: UltraTriple, vec: tuple[int, dict[int, int]], c: int, keep: bool) -> tuple[int, dict[int, int]]:
+    """The gain vector after picking c: every candidate x gains d(c, x).
 
     c itself leaves the candidates unless `keep` (subsequences, where its
     gain grows by the self-distance).  The distances are read straight from
     the tables: every candidate was checked once, by `_subset`.
     """
+    L, gains = vec
     dist = t.dist
     row = dist[c]
-    out = {}
-    for x, g in gains.items():
+    adds = {}
+    for x in gains:
         if x < c:
-            out[x] = g + row[x]
+            adds[x] = row[x]
         elif x > c:
-            out[x] = g + dist[x][c]
+            adds[x] = dist[x][c]
         elif keep:
-            out[x] = g + t.selfdist[c]
-    return out
+            adds[x] = t.selfdist[c]
+    return _scaled(L, gains, adds)
 
 
 def _walk(
@@ -86,7 +107,7 @@ def _walk(
     Each step costs O(|pts|): one pass for the maximum and one distance row
     added to the gain vector.
     """
-    gains = {x: t.weights[x] for x in pts}
+    L, gains = vec = _start(t, pts)
     chosen: list[int] = []
     increments: list[Fraction] = []
     for i in range(m):
@@ -97,8 +118,8 @@ def _walk(
         if type(c) is not int or gains.get(c) != gains[top]:
             return None
         chosen.append(c)
-        increments.append(gains[c])
-        gains = _step(t, gains, c, keep)
+        increments.append(Fraction(gains[c], L))
+        L, gains = vec = _step(t, vec, c, keep)
     return tuple(chosen), tuple(increments)
 
 
@@ -157,7 +178,7 @@ def _set_dag(t: UltraTriple, C: Iterable[int], m: int, cap: float = math.inf) ->
     if not 0 <= m <= len(pts):
         raise ValueError(f"m={m} must be between 0 and |C|={len(pts)}")
     levels: list[dict] = []
-    level = {0: {x: t.weights[x] for x in pts}}  # each set -> its gain vector
+    level = {0: _start(t, pts)}  # each set -> its gain vector
     paths = {0: 1}  # each set -> the greedy runs that reach it
     while True:
         total = sum(paths.values())
@@ -167,10 +188,11 @@ def _set_dag(t: UltraTriple, C: Iterable[int], m: int, cap: float = math.inf) ->
             return levels, total
         grow = len(levels) + 1 < m
         nodes, nxt, into = {}, {}, {}
-        for A, gains in level.items():
-            best = max(gains.values())
-            winners = [x for x, g in gains.items() if g == best]
-            nodes[A] = best, winners
+        for A, vec in level.items():
+            L, gains = vec
+            top = max(gains.values())
+            winners = [x for x, g in gains.items() if g == top]
+            nodes[A] = Fraction(top, L), winners
             runs = paths[A]
             for x in winners:
                 B = A | 1 << x
@@ -179,7 +201,7 @@ def _set_dag(t: UltraTriple, C: Iterable[int], m: int, cap: float = math.inf) ->
                 else:
                     into[B] = runs
                     if grow:
-                        nxt[B] = _step(t, gains, x, False)
+                        nxt[B] = _step(t, vec, x, False)
         levels.append(nodes)
         level, paths = nxt, into
 

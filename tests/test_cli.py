@@ -436,6 +436,14 @@ class TestTreeCommand:
         assert doc["points"] == ["a", "b"]
         assert doc["distances"][1] == ["-2"]
 
+    def test_not_utf8_names_the_file(self, capsys, tmp_path):
+        tree = tmp_path / "bad.txt"
+        tree.write_bytes(b"root r\nr \xff 1\n")
+        code, out, err = run(capsys, "tree", str(tree))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {tree} is not valid UTF-8: ") and err.count("\n") == 1
+        assert "can't decode byte 0xff in position 9" in err
+
     def test_long_path_parses_in_linear_time(self, tmp_path):
         n = 20_000
         tree = tmp_path / "path.txt"
@@ -595,6 +603,47 @@ class TestReadInstance:
         path = self._write(tmp_path, **{field: value})
         code, out, err = run(capsys, "greedy", path)
         assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            # row 1 caches "2", so row 2 starts with a string already seen
+            ({"distances": [[], ["2"], ["2", 2.5]]}, "bad rational in distances: expected an exact rational, got 2.5"),
+            ({"distances": [[], ["2"], ["2", True]]}, "bad rational in distances: expected an exact rational, got True"),
+            ({"distances": [[], ["2"], ["2", [1]]]},
+             "bad rational in distances: argument should be a string or a Rational instance"),
+            ({"distances": [[], ["2"], ["2", {"1": 2}]]},
+             "bad rational in distances: argument should be a string or a Rational instance"),
+            # the first bad entry of a row is reported, whatever follows it
+            ({"distances": [[], ["2"], ["2", 2.5, [1]]]}, "bad rational in distances: expected an exact rational, got 2.5"),
+            ({"distances": [[], ["2"], ["2", [1], 2.5]]},
+             "bad rational in distances: argument should be a string or a Rational instance"),
+            ({"distances": [[], ["2"], ["2", "1/2", "x"]]}, "bad rational in distances: 'x' is not p/q or integer"),
+            # a weights row is read first, before any string is cached
+            ({"weights": ["1", "1", False]}, "bad rational in weights: expected an exact rational, got False"),
+            ({"weights": ["1", {}, 0.5]}, "bad rational in weights: argument should be a string or a Rational instance"),
+            ({"selfdist": ["2", "1/2", 0.5]}, "bad rational in selfdist: expected an exact rational, got 0.5"),
+            ({"selfdist": ["1/2", [], "2"]}, "bad rational in selfdist: argument should be a string or a Rational instance"),
+        ],
+    )
+    def test_cached_rows_mixed_with_other_entries(self, capsys, tmp_path, fields, message):
+        path = self._write(tmp_path, **fields)
+        code, out, err = run(capsys, "validate", path)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_cached_rows_with_json_ints(self, tmp_path):
+        path = self._write(tmp_path, distances=[[], ["2"], ["2", 1]], selfdist=["2", 0, "2"])
+        got = read_instance(path)
+        assert got == FullUltraTriple("abc", [1, 1, 0], [[], [2], [2, 1]], [2, 0, 2])
+        assert got.d(2, 0) is got.d(1, 0) is got.selfdist[0] is got.selfdist[2]
+        assert type(got.d(2, 1)) is Fraction and type(got.selfdist[1]) is Fraction
+
+    @pytest.mark.parametrize("top", ["[1]", '"x"', "3"])
+    def test_set_system_top_level_must_be_an_object(self, capsys, tmp_path, top):
+        path = tmp_path / "system.json"
+        path.write_text(top)
+        code, out, err = run(capsys, "greedoid", "--system", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: top level must be an object\n")
 
     @pytest.mark.parametrize("sets", [{}, "", [""], [{}], [[], "01"], [[], {"0": 1}]])
     def test_sets_must_be_an_array_of_arrays(self, capsys, tmp_path, sets):

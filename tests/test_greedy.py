@@ -2,7 +2,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -10,8 +10,10 @@ import pytest
 from ultragreedy import (
     FullUltraTriple,
     GreedyTrace,
+    UltraTriple,
     all_greedy_permutations,
     all_greedy_traces,
+    bhargava_greedoid,
     brute_all_greedy,
     brute_max_perimeter,
     brute_max_tuple_perimeter,
@@ -24,6 +26,7 @@ from ultragreedy import (
     greedy_subsequence,
     is_greedy_permutation,
     is_greedy_subsequence,
+    mask_from_points,
     nu,
     nu_bar,
     nu_bar_inequality_check,
@@ -492,3 +495,108 @@ def test_tie_heavy_sweep_against_oracles(enumerate_greedy_subsequences):
         assert tr.increments == _raw_increments(t, tr.points)
         for seq in product(C, repeat=k):
             assert is_greedy_subsequence(t, C, seq) == (seq in subseqs)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+def _prime_denominators(t, rng: random.Random) -> UltraTriple:
+    """t with each distinct distance v_i (ascending) moved to i + 1/p and each
+    weight to w + k/p, for primes p drawn per value: still valid when t is,
+    since the distances keep their order."""
+    values = sorted({x for row in t.dist for x in row})
+    moved = {v: i + F(1, rng.choice(PRIMES)) for i, v in enumerate(values)}
+    weights = [w + F(rng.randint(-3, 3), rng.choice(PRIMES)) for w in t.weights]
+    return UltraTriple(t.labels, weights, [[moved[x] for x in row] for row in t.dist])
+
+
+def _affine(t, rng: random.Random) -> UltraTriple:
+    """t with weights a*w + c and distances a*d + b, for a, b, c over three
+    primes: after k picks every gain is a*(its old gain) + c + k*b, so t's
+    ties and its validity are kept."""
+    a, b, c = (F(rng.randint(1, 9), p) for p in rng.sample(PRIMES, 3))
+    weights = [a * w + c for w in t.weights]
+    return UltraTriple(t.labels, weights, [[a * x + b for x in row] for row in t.dist])
+
+
+def _exact_cases() -> list[UltraTriple]:
+    """Valid triples whose gains mix many denominators, tie across them, or
+    differ only past float precision."""
+    rng = random.Random(4099)
+    cases = []
+    for seed in range(12):
+        t = random_ultra_triple(seed, 2 + seed % 5, 1 + seed % 3)
+        cases.append(_prime_denominators(t, rng))
+        # weights 0 and 1 keep ties frequent
+        cases.append(_affine(UltraTriple(t.labels, [w.numerator % 2 for w in t.weights], t.dist), rng))
+    # 1/2 + 1/3 against 1/7 + 29/42: a tie between gains over different denominators
+    cases.append(UltraTriple("abc", [F(1, 2), F(1, 3), F(1, 7)], [[], [F(1, 2)], [F(29, 42), F(29, 42)]]))
+    # p-adic distances p**-k with k up to 90, and negative weights over large prime powers
+    big = [0, 1, 2**70, 2**71, 2**70 + 2**90, 3 * 2**70]
+    cases.append(padic_triple(big, 2, [-F(1, 3**40), 0, -F(2, 5**30), F(1, 2**80), -F(1, 7**25), 0]))
+    cases.append(padic_triple([0, 3**50, 2 * 3**50, 3**60, 1, 3**61 + 1], 3, [-1, -F(1, 3**55), 0, 0, -2, -F(1, 3**61)]))
+    # gains 10**30 and 10**30 + 1 look equal as floats
+    cases.append(constant_triple(3, [10**30, 10**30 + 1, 10**30]))
+    # after a, the gains of b and c differ by 1/10**40
+    eps = F(1, 10**40)
+    cases.append(UltraTriple("abc", [1, 0, 0], [[], [1], [1 + eps, 1 + eps]]))
+    return cases
+
+
+class TestExactEngine:
+    """The engine's integer gain vectors against raw Fraction perimeters."""
+
+    @pytest.mark.parametrize("t", _exact_cases())
+    def test_matches_brute_force(self, t):
+        for m in range(t.n + 1):
+            want = brute_all_greedy(t, t.points(), m)
+            traces = all_greedy_traces(t, t.points(), m)
+            assert tuple(tr.points for tr in traces) == want
+            assert count_greedy_permutations(t, t.points(), m) == len(want)
+            assert greedy_permutation(t, t.points(), m).points == want[0]
+            for tr in traces:
+                assert tr.increments == _raw_increments(t, tr.points)
+                assert all(type(x) is Fraction for x in tr.increments)
+            if m:
+                assert nu_bar(t, t.points(), m) == traces[0].increments[-1]
+
+    @pytest.mark.parametrize("t", _exact_cases())
+    def test_greedoid_matches_brute_force(self, t):
+        s = bhargava_greedoid(t)
+        want = {mask_from_points(a) for k in range(t.n + 1) for a in brute_max_perimeter(t, t.points(), k).argmax}
+        assert s.sets == want
+
+    @pytest.mark.parametrize("t", _exact_cases())
+    def test_subsequences_match_brute_force(self, t, enumerate_greedy_subsequences):
+        full = extend_to_full(t, min((x for row in t.dist for x in row), default=F(0)))
+        for k in range(4):
+            tr = greedy_subsequence(full, full.points(), k)
+            assert tr.points == enumerate_greedy_subsequences(full, full.points(), k)[0]
+            assert tr.increments == _raw_increments(full, tr.points)
+            assert all(type(x) is Fraction for x in tr.increments)
+
+    def test_ties_past_float_precision(self):
+        heavy = constant_triple(3, [10**30, 10**30 + 1, 10**30])
+        assert float(heavy.weights[0]) == float(heavy.weights[1])
+        assert greedy_permutation(heavy, heavy.points(), 1).points == (1,)
+        eps = F(1, 10**40)
+        t = UltraTriple("abc", [1, 0, 0], [[], [1], [1 + eps, 1 + eps]])
+        assert float(t.d(0, 1)) == float(t.d(0, 2))
+        tr = greedy_permutation(t, t.points(), 3)
+        assert tr.points == (0, 2, 1) and tr.increments == (1, 1 + eps, 2 + eps)
+        assert all_greedy_permutations(t, t.points(), 2) == ((0, 2),)
+
+    def test_integer_increments_are_fractions(self, parity5, parity5_full):
+        for tr in (greedy_permutation(parity5, parity5.points(), 5), greedy_subsequence(parity5_full, [0, 1], 4)):
+            assert all(x.denominator == 1 and type(x) is Fraction for x in tr.increments)
+        assert type(nu_bar(parity5, parity5.points(), 3)) is Fraction
+        assert type(nu(parity5_full, parity5_full.points(), 3)) is Fraction
+
+    @pytest.mark.parametrize("t", [padic_triple(range(12), 2), _exact_cases()[24], constant_triple(4)])
+    def test_paths_through_a_set_share_its_increment(self, t):
+        m = min(t.n, 4)
+        paths = list(greedy_module._paths(greedy_module._set_dag(t, t.points(), m)[0]))
+        assert len(paths) > 1
+        for (p, pi), (q, qi) in combinations(paths, 2):
+            for k in range(m):
+                assert (pi[k] is qi[k]) == (set(p[:k]) == set(q[:k]))
