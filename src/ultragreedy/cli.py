@@ -104,6 +104,8 @@ def _load_json(path: str) -> object:
             return json.load(f)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:  # a ValueError: caught before the JSON errors
+        raise InputError(f"{path} is not valid UTF-8: {exc}") from None
     except (ValueError, RecursionError) as exc:
         # ValueError covers malformed JSON and, outside `main`, integers
         # longer than the int/str digit limit; RecursionError deep nesting

@@ -1,13 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultragreedy import (
     FullUltraTriple,
@@ -660,14 +663,23 @@ class TestParsing:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 
-    def test_module_entry_point(self, parity5_file):
+    @pytest.mark.parametrize("case, code", [("valid", 0), ("violation", 1), ("missing", 2)])
+    def test_module_entry_point(self, capsys, parity5_file, tmp_path, case, code):
+        # `python -m ultragreedy` ends through `__main__.run`: the exit code
+        # and stdout are those of `main` run in-process
+        path = {"valid": parity5_file, "violation": tmp_path / "bad.json", "missing": tmp_path / "missing.json"}[case]
+        if case == "violation":
+            doc = json.loads(parity5_file.read_text())
+            doc["distances"][2][0] = "9"
+            path.write_text(json.dumps(doc))
+        want = run(capsys, "validate", str(path))
         proc = subprocess.run(
-            [sys.executable, "-m", "ultragreedy", "validate", str(parity5_file)],
+            [sys.executable, "-m", "ultragreedy", "validate", str(path)],
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["ok"] is True
+        assert (proc.returncode, proc.stdout) == want[:2]
+        assert want[0] == code
 
     def test_instance_read_as_utf8_under_ascii_locale(self, tmp_path):
         # JSON text is UTF-8: a non-ASCII label parses whatever the locale's encoding
@@ -797,8 +809,126 @@ class TestOversizedAndMalformedInput:
             assert [Fraction(x) for x in trace["prefix_perimeters"]] == sums
             assert len(trace["prefix_perimeters"][2]) > 4300
 
+    @pytest.mark.parametrize("argv", [["validate"], ["greedoid", "--system"]], ids=["instance", "system"])
+    def test_invalid_utf8_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"points": ["\xff"]}')
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path} is not valid UTF-8: ") and err.count("\n") == 1
+        assert "can't decode byte 0xff in position 13" in err
+
     def test_deep_nesting_exit_2(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
         code, _, err = run(capsys, "greedy", str(path))
         assert code == 2 and "is not valid JSON" in err
+
+
+# any JSON value, for the fields of an input document
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_RATIONAL = st.sampled_from(["0", "1", "2", "3", "-1", "1/2", "-3/4", " 5 "])
+# entries of a weight or distance row: well- and ill-formed rational strings,
+# JSON numbers and anything else
+_ENTRY = _RATIONAL | st.sampled_from(["1/0", "x", "1.5", "1/-2", ""]) | st.integers(-3, 3) | _JSON
+_SMALL = st.none() | st.integers(-2, 3)  # --cap and --m; None keeps the default
+_RARELY = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def _instance_documents(draw):
+    """Mostly well-formed instances, so that the commands get past parsing:
+    half have only rational strings, and each field is rarely dropped or
+    replaced by any JSON value."""
+    n = draw(st.integers(0, 5))
+    entry = draw(st.sampled_from([_RATIONAL, _ENTRY]))
+
+    def row(size):
+        return st.lists(entry, min_size=size, max_size=size)
+
+    doc = {
+        "points": [str(a) for a in range(n)],
+        "weights": draw(row(n)),
+        "distances": [draw(row(i)) for i in range(n)],
+        "selfdist": draw(row(n)),
+    }
+    for key in list(doc):
+        if key == "selfdist" and draw(st.booleans()):
+            del doc[key]  # a plain triple
+        elif draw(_RARELY):
+            if draw(st.booleans()):
+                del doc[key]
+            else:
+                doc[key] = draw(_JSON)
+    return doc
+
+
+_SYSTEM_DOCUMENTS = st.fixed_dictionaries(
+    {
+        "ground": st.integers(-1, 5) | _JSON,
+        "sets": st.lists(st.lists(st.integers(-1, 5) | _JSON, max_size=3), max_size=6) | _JSON,
+    }
+)
+
+
+# each command with the options drawn for it; "{}" stands for the input file
+_COMMANDS = {
+    "validate": (["validate", "{}"], ("--cap",)),
+    "greedy-first": (["greedy", "{}", "--ties", "first"], ("--m",)),
+    "greedy-all": (["greedy", "{}", "--ties", "all"], ("--m", "--cap")),
+    "nu": (["nu", "{}"], ("--k",)),
+    "greedoid-sets": (["greedoid", "{}", "--emit", "sets"], ("--cap",)),
+    "greedoid-check": (["greedoid", "{}", "--emit", "check"], ("--cap",)),
+    "system-sets": (["greedoid", "--system", "{}", "--emit", "sets"], ()),
+    "system-check": (["greedoid", "--system", "{}", "--emit", "check"], ()),
+}
+
+
+@st.composite
+def _invocations(draw):
+    """A command line and the bytes of the file it reads."""
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv, options = _COMMANDS[name]
+    for option in options:
+        value = draw(st.integers(-2, 3) if option == "--k" else _SMALL)  # --k is required
+        if value is not None:
+            argv = [*argv, f"{option}={value}"]
+    if draw(_RARELY):
+        doc = draw(_JSON)
+    else:
+        doc = draw(_SYSTEM_DOCUMENTS if name.startswith("system") else _instance_documents())
+    data = json.dumps(doc).encode()
+    if draw(_RARELY):  # malformed JSON text
+        data = data[: draw(st.integers(0, len(data)))]
+    if draw(_RARELY):  # a byte that is never valid UTF-8, anywhere in the file
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\x80"])) + data[at:]
+    return argv, data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(invocation=_invocations())
+def test_any_input_keeps_the_exit_contract(fuzz_dir, invocation):
+    """0, 1 or 2 and never a traceback; a 2 writes nothing to stdout and
+    one `error:` line to stderr."""
+    argv, data = invocation
+    path = fuzz_dir / "input.json"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(path) if a == "{}" else a for a in argv])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        json.loads(out.getvalue())

@@ -4,21 +4,25 @@ The import checks run in a fresh interpreter: in this process pytest and
 the other test modules have long since imported everything.
 """
 
+import gc
+import importlib
 import json
 import subprocess
 import sys
+import tomllib
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ultragreedy
-from ultragreedy.cli import read_instance
+from ultragreedy.cli import main, read_instance
 from ultragreedy.constructions import padic_triple
 from ultragreedy.greedy import nu_bar
 from ultragreedy.oracle import brute_max_perimeter
 
 GOLDEN = Path(__file__).parent / "golden"
+PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 
 
 def _fresh(code: str) -> dict:
@@ -148,3 +152,50 @@ def test_greedoid_sets_on_invalid_instance_reaches_oracle():
     assert levels == {
         k: sorted(list(A) for A in brute_max_perimeter(t, range(t.n), k).argmax) for k in range(t.n + 1)
     }
+
+
+def test_run_returns_mains_code_and_freezes_the_heap():
+    instance = str(GOLDEN / "ties6.json")  # fails validate: exit 1
+    got = _fresh(
+        "import gc, io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from ultragreedy.__main__ import run\n"
+        f"sys.argv = ['ultragreedy', 'validate', {instance!r}]\n"
+        "before = gc.get_freeze_count()\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    code = run()\n"
+        "print(json.dumps({'code': code, 'before': before, 'after': gc.get_freeze_count()}))\n"
+    )
+    assert got["code"] == 1
+    assert got["after"] > got["before"]
+
+
+def test_main_freezes_nothing(capsys):
+    # tests, bench/tracer.py and the benchmark call `main` in-process
+    before = gc.get_freeze_count()
+    assert main(["validate", str(GOLDEN / "ties6.json")]) == 1
+    assert main(["greedoid", str(GOLDEN / "padic6.json")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_atexit_handlers_run_after_run():
+    instance = str(GOLDEN / "ties6.json")
+    code = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: sys.stderr.write('atexit handler ran\\n'))\n"
+        "from ultragreedy.__main__ import run\n"
+        f"sys.argv = ['ultragreedy', 'validate', {instance!r}]\n"
+        "raise SystemExit(run())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, "atexit handler ran\n")
+    assert json.loads(proc.stdout)["ok"] is False
+
+
+def test_console_script_is_run():
+    target = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]["ultragreedy"]
+    module, _, name = target.partition(":")
+    # imported here, not at the top: importing the module must not run the CLI
+    from ultragreedy.__main__ import run
+
+    assert getattr(importlib.import_module(module), name) is run
