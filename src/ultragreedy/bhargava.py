@@ -13,15 +13,34 @@ import math
 from collections.abc import Iterable, Sequence
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _BASES (Sorenson and Webster 2015)
+_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; ample for desk-scale moduli."""
+    """Trial division by the primes up to 41, then Miller-Rabin to those 13
+    bases, which is exact below 3,317,044,064,679,887,385,961,981; above
+    that bound a number with no factor up to 41 raises ValueError."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
+    for q in _BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _EXACT_BELOW:
+        raise ValueError(f"cannot decide whether {n} is a prime: the test is exact only below {_EXACT_BELOW}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 1
     return True
 
 

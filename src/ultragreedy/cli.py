@@ -12,8 +12,8 @@ writes the output and maps errors to exit codes.
 A rational string is an integer or "p/q" with surrounding whitespace
 trimmed: decimal digits, a minus sign only in front, and an unsigned
 denominator.  Each enumerating subcommand takes its limit from --cap alone:
-validate 64 points, greedy --ties all 10**6 sequences, greedoid 16 ground
-elements.
+validate 64 points, greedy --ties all 10**6 sequences, greedoid (instance or
+--system) 16 ground elements.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def instance_document(t: core.UltraTriple) -> dict:
     return doc
 
 
-def read_set_system(path: str) -> greedoid.SetSystem:
+def read_set_system(path: str, cap: int) -> greedoid.SetSystem:
     system = greedoid.SetSystem  # loaded before the document exists
     doc = _load_json(path)
     if not isinstance(doc, dict):
@@ -180,6 +180,8 @@ def read_set_system(path: str) -> greedoid.SetSystem:
         ground = doc["ground"]
         if not isinstance(ground, int) or isinstance(ground, bool):
             raise ValueError(f"ground must be an integer, got {ground!r}")
+        if ground > cap:  # before any mask: a mask has `ground` bits
+            raise InputError(f"ground size {greedoid._shown(ground)} exceeds cap {cap}")
         sets = doc["sets"]
         if not isinstance(sets, list) or not all(isinstance(f, list) for f in sets):
             raise ValueError("sets must be an array of arrays")
@@ -315,7 +317,7 @@ def cmd_greedoid(args: argparse.Namespace) -> tuple[str, int]:
     if (args.instance is None) == (args.system is None):
         raise InputError("give exactly one of an instance file or --system")
     if args.system is not None:
-        s = read_set_system(args.system)
+        s = read_set_system(args.system, args.cap)
     else:
         t = read_instance(args.instance)
         s = greedoid.bhargava_greedoid(t, cap=args.cap)
@@ -481,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", nargs="?")
     p.add_argument("--system", help="check a set-system JSON file instead of an instance")
     p.add_argument("--emit", choices=("sets", "check"), default="check")
-    p.add_argument("--cap", type=int, default=16, help="ground-size cap for materialization (default: %(default)s)")
+    p.add_argument("--cap", type=int, default=16, help="ground-size cap, for an instance or --system (default: %(default)s)")
     p.set_defaults(handler=cmd_greedoid)
 
     p = sub.add_parser("generate", help="write an instance of a standard family")

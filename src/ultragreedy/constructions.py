@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .bhargava import _check_prime, _vp_int
+from .bhargava import _check_prime
 from .core import FullUltraTriple, UltraTriple, _Record, rational
 
 
@@ -30,12 +30,32 @@ def _int_points(points: Iterable[int]) -> list[int]:
     return pts
 
 
-def _triple_from_pairs(pts: list[int], pair_dist, weights) -> UltraTriple:
-    labels = tuple(str(x) for x in pts)
-    dist = tuple(
-        tuple(pair_dist(pts[i], pts[j]) for j in range(i)) for i in range(len(pts))
-    )
-    return UltraTriple(labels, _weights(len(pts), weights), dist)
+def _triple_from_blocks(pts: Sequence[int], c0, levels, weights) -> UltraTriple:
+    """The triple on pts whose pairs sit at distance c0 unless a deeper block holds them.
+
+    `levels` yields, level by level from level 1 on, one distance value and
+    the blocks (increasing index lists) that still hold two or more points;
+    each block overwrites the pairs it holds, so a pair ends at the value of
+    the last level keeping it together, and all such pairs share that object.
+    """
+    rows = [[c0] * a for a in range(len(pts))]
+    for value, blocks in levels:
+        for block in blocks:
+            for k in range(1, len(block)):
+                row = rows[block[k]]
+                for j in block[:k]:
+                    row[j] = value
+    for a, row in enumerate(rows):  # in place: never a second full table in memory
+        rows[a] = tuple(row)
+    return UltraTriple(tuple(map(str, pts)), _weights(len(pts), weights), rows)
+
+
+def _classes(pts: list[int], block: Iterable[int], q: int) -> list[list[int]]:
+    """The classes of block's points mod q that hold two or more of them."""
+    classes: dict[int, list[int]] = {}
+    for i in block:
+        classes.setdefault(pts[i] % q, []).append(i)
+    return [c for c in classes.values() if len(c) > 1]
 
 
 def constant_triple(n: int, weights: Iterable | None = None) -> UltraTriple:
@@ -67,27 +87,35 @@ def mod_triple(
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError("m must be a positive integer")
     pts = _int_points(points)
-    return _triple_from_pairs(
-        pts, lambda a, b: eps if (a - b) % m == 0 else alpha, weights
-    )
+    return _triple_from_blocks(pts, alpha, [(eps, _classes(pts, range(len(pts)), m))], weights)
+
+
+def _residue_blocks(pts: list[int], p: int):
+    """(v, blocks) for v = 1, 2, ...: the classes of pts mod p**v that hold
+    two or more points, as increasing index lists, until every class is a
+    singleton.  A pair stays together exactly through level v_p(a - b)."""
+    q, v = p, 1
+    blocks = _classes(pts, range(len(pts)), q)
+    while blocks:
+        yield v, blocks
+        q, v = q * p, v + 1
+        blocks = [c for block in blocks for c in _classes(pts, block, q)]
 
 
 def padic_triple(points: Iterable[int], p: int, weights: Iterable | None = None) -> UltraTriple:
     """Distance p**(-v_p(a-b)) between distinct integers a and b."""
     _check_prime(p)
     pts = _int_points(points)
-    return _triple_from_pairs(
-        pts, lambda a, b: Fraction(1, p ** _vp_int(p, a - b)), weights
-    )
+    levels = ((Fraction(1, p**v), blocks) for v, blocks in _residue_blocks(pts, p))
+    return _triple_from_blocks(pts, Fraction(1), levels, weights)
 
 
 def padic_log_triple(points: Iterable[int], p: int, weights: Iterable | None = None) -> UltraTriple:
     """Distance -v_p(a-b): the integer-valued logarithmic variant."""
     _check_prime(p)
     pts = _int_points(points)
-    return _triple_from_pairs(
-        pts, lambda a, b: Fraction(-_vp_int(p, a - b)), weights
-    )
+    levels = ((Fraction(-v), blocks) for v, blocks in _residue_blocks(pts, p))
+    return _triple_from_blocks(pts, Fraction(0), levels, weights)
 
 
 def _divides(a: int, b: int) -> bool:
@@ -134,7 +162,10 @@ def rseq_triple(
             raise ValueError(f"c has {len(cs)} entries but the valuation reaches {v}")
         return cs[v]
 
-    return _triple_from_pairs(pts, pair_dist, weights)
+    dist = tuple(
+        tuple(pair_dist(pts[i], pts[j]) for j in range(i)) for i in range(len(pts))
+    )
+    return UltraTriple(tuple(str(x) for x in pts), _weights(len(pts), weights), dist)
 
 
 class EquivHierarchy(_Record):
@@ -201,19 +232,14 @@ class EquivHierarchy(_Record):
 def eqrel_triple(h: EquivHierarchy, weights: Iterable | None = None) -> UltraTriple:
     """Distance c[i] where i is the last level keeping the two points together."""
     n = h.n
-    ids = []
-    for level in h.levels:
-        level_ids = [0] * n
-        for bid, block in enumerate(level):
-            for e in block:
-                level_ids[e] = bid
-        ids.append(level_ids)
-
-    def pair_dist(a: int, b: int) -> Fraction:
-        last = max(i for i in range(len(ids)) if ids[i][a] == ids[i][b])
-        return h.c[last]
-
-    return _triple_from_pairs(list(range(n)), pair_dist, weights)
+    # c may stop at the last level with a block of two points; a single
+    # point has no pairs and c may be empty
+    levels = (
+        (h.c[i], blocks)
+        for i, level in enumerate(h.levels[1:], 1)
+        if (blocks := [sorted(b) for b in level if len(b) > 1])
+    )
+    return _triple_from_blocks(range(n), h.c[0] if n > 1 else None, levels, weights)
 
 
 class WeightedTree(_Record):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import permutations, product
 
 import pytest
@@ -20,6 +21,29 @@ class TestPrimality:
 
         for n in range(-3, 200):
             assert is_prime(n) == ref(n)
+
+    def test_agrees_with_trial_division_below_10_5(self):
+        small = [k for k in range(2, 317) if all(k % j for j in range(2, k))]  # 317**2 > 10**5
+
+        def trial(n):
+            return n >= 2 and all(n % q for q in small if q * q <= n)
+
+        assert [n for n in range(10**5) if is_prime(n) != trial(n)] == []
+
+    @pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 3825123056546413051])
+    def test_carmichael_numbers_and_strong_pseudoprimes_rejected(self, n):
+        assert is_prime(n) is False
+
+    def test_mersenne_61_accepted_promptly(self):
+        start = time.perf_counter()
+        assert is_prime(2**61 - 1) is True
+        assert time.perf_counter() - start < 0.01
+
+    def test_past_the_exact_bound_raises(self):
+        bound = 3317044064679887385961981  # a strong pseudoprime to the 13 bases
+        with pytest.raises(ValueError, match="exact only below"):
+            is_prime(bound)
+        assert is_prime(2 * bound) is False  # a small factor still decides
 
 
 class TestValuation:

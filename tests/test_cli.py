@@ -489,6 +489,17 @@ class TestPorderingCommand:
         code, out, _ = run(capsys, "pordering", "--p", "2", "--points=-3,5", "--check=-3,5")
         assert code == 0 and json.loads(out) is True
 
+    def test_large_prime_p_ends_promptly(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "pordering", "--p", str(2**61 - 1), "--points", "1,2,3", "--m", "2")
+        assert (code, out) == (0, "[1, 2]\n")
+        assert time.perf_counter() - start < 1
+
+    def test_p_past_the_exact_primality_bound_exit_2(self, capsys):
+        code, out, err = run(capsys, "pordering", "--p", str(4 * 10**24 + 1), "--points", "1,2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot decide whether") and err.count("\n") == 1
+
     @pytest.mark.parametrize("option", ["--points", "--check"])
     def test_help_shows_equals_form(self, capsys, monkeypatch, option):
         monkeypatch.setenv("COLUMNS", "200")  # one help line per option
@@ -501,6 +512,20 @@ class TestCaps:
     def test_default_shown_in_help(self, capsys, command, default):
         code, out, _ = run(capsys, command, "--help")
         assert code == 0 and f"(default: {default})" in " ".join(out.split())
+
+    def test_system_ground_capped_before_any_mask(self, capsys, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"ground": 10**12, "sets": [[], [0], [10**12 - 1]]}))
+        code, out, err = run(capsys, "greedoid", "--system", str(path))
+        assert (code, out, err) == (2, "", "error: ground size 1000000000000 exceeds cap 16\n")
+
+    def test_system_ground_cap_default_and_raised(self, capsys, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"ground": 17, "sets": [[], [0], [16]]}))
+        code, out, err = run(capsys, "greedoid", "--system", str(path))
+        assert (code, out, err) == (2, "", "error: ground size 17 exceeds cap 16\n")
+        code, out, _ = run(capsys, "greedoid", "--system", str(path), "--cap", "17")
+        assert code == 0 and json.loads(out)["all_hold"] is True
 
     def test_environment_does_not_set_caps(self, capsys, parity5_file, monkeypatch):
         jobs = (["validate", str(parity5_file)], ["greedoid", str(parity5_file), "--emit", "sets"])

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+
+from ultragreedy.bhargava import _vp_int
 
 from ultragreedy import (
     EquivHierarchy,
@@ -176,6 +179,102 @@ class TestEqrel:
             (F(4), F(1)),
         )
         assert validate(eqrel_triple(h)).ok
+
+
+def _random_hierarchy(rng: random.Random) -> EquivHierarchy:
+    """n <= 60 points, 1 to 6 refinement steps down to singletons, and a
+    weakly decreasing c with ties, sometimes longer than needed."""
+    n = rng.randint(1, 60)
+    levels = [[list(range(n))]]
+    for _ in range(rng.randint(0, 5)):
+        nxt = []
+        for block in levels[-1]:
+            parts: dict[int, list[int]] = {}
+            for e in block:
+                parts.setdefault(rng.randrange(rng.randint(1, 4)), []).append(e)
+            nxt += parts.values()
+        levels.append(nxt)
+    levels.append([[e] for e in range(n)])
+    c, value = [], Fraction(rng.randint(20, 40), rng.randint(1, 3))
+    for _ in range(len(levels) - 1 + rng.randint(0, 1)):
+        c.append(value)
+        value -= rng.choice((0, 0, Fraction(1, rng.randint(1, 3))))
+    return EquivHierarchy(levels, c)
+
+
+def _random_points(rng: random.Random) -> list[int]:
+    """0 to 40 distinct integers, negative ones included, sometimes with a
+    point 2**300 away from the rest."""
+    pts = rng.sample(range(-300, 300), rng.choice((0, 1, rng.randint(2, 40))))
+    if pts and rng.random() < 0.25:
+        pts[rng.randrange(len(pts))] += rng.choice((1, -1)) * 2**300
+    return pts
+
+
+def _shares_one_object_per_level(t, level_of) -> bool:
+    """Whether every pair at one level holds the same distance object."""
+    seen: dict = {}
+    return all(
+        t.dist[a][b] is seen.setdefault(level_of(a, b), t.dist[a][b])
+        for a in range(t.n)
+        for b in range(a)
+    )
+
+
+class TestBlockWriterSweep:
+    """Each block-written constructor against its per-pair definition."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_eqrel_matches_level_scan(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            h = _random_hierarchy(rng)
+            weights = [rng.randint(-5, 5) for _ in range(h.n)]
+            t = eqrel_triple(h, weights)
+
+            def last_level(a, b):
+                return max(i for i, level in enumerate(h.levels) if any({a, b} <= block for block in level))
+
+            assert t.labels == tuple(str(i) for i in range(h.n))
+            assert t.weights == tuple(map(Fraction, weights))
+            assert all(t.dist[a][b] is h.c[last_level(a, b)] for a in range(h.n) for b in range(a))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_padic_pair_matches_vp(self, p):
+        rng = random.Random(p)
+        for _ in range(30):
+            pts = _random_points(rng)
+            labels = tuple(map(str, pts))
+            t, tlog = padic_triple(pts, p), padic_log_triple(pts, p)
+
+            def level(a, b):
+                return _vp_int(p, pts[a] - pts[b])
+
+            pairs = [(a, b) for a in range(len(pts)) for b in range(a)]
+            assert t.labels == tlog.labels == labels
+            assert all(t.dist[a][b] == Fraction(1, p ** level(a, b)) for a, b in pairs)
+            assert all(tlog.dist[a][b] == -level(a, b) for a, b in pairs)
+            assert all(type(x) is Fraction for row in t.dist + tlog.dist for x in row)
+            assert _shares_one_object_per_level(t, level)
+            assert _shares_one_object_per_level(tlog, level)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mod_matches_residue_test(self, seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            pts = _random_points(rng)
+            m = rng.choice((1, 2, 3, 5, 12, 2**301))
+            eps, alpha = Fraction(rng.randint(-3, 1), 2), Fraction(rng.randint(3, 6), 5)
+            t = mod_triple(pts, m, eps, alpha)
+
+            def same_class(a, b):
+                return (pts[a] - pts[b]) % m == 0
+
+            assert t.labels == tuple(map(str, pts))
+            assert all(
+                t.dist[a][b] == (eps if same_class(a, b) else alpha) for a in range(len(pts)) for b in range(a)
+            )
+            assert _shares_one_object_per_level(t, same_class)
 
 
 class TestTree:
