@@ -137,7 +137,7 @@ def is_pm_ordering(E: Iterable[int], p: int, seq: Sequence[int]) -> bool:
 def check_equivalence(E: Iterable[int], p: int, seq: Sequence[int]) -> bool:
     """Assert the P-ordering and greedy-permutation verdicts coincide.
 
-    Runs is_pm_ordering against is_greedy_permutation on the zero-weight
+    Runs the P-ordering walk against is_greedy_permutation on the zero-weight
     -v_p triple over E and returns the shared verdict; a disagreement is an
     implementation bug, not a data condition, hence the hard error.
     """
@@ -154,7 +154,7 @@ def check_equivalence(E: Iterable[int], p: int, seq: Sequence[int]) -> bool:
         raise ValueError("sequence entries must be distinct")
     if any(type(c) is not int or c not in members for c in entries):
         raise ValueError("sequence entries must lie in E")
-    verdict_pm = is_pm_ordering(pool, p, entries)
+    verdict_pm = _pm_walk(pool, p, entries, len(entries)) is not None
     t = padic_log_triple(pool, p)
     index = {val: i for i, val in enumerate(pool)}
     verdict_greedy = is_greedy_permutation(t, range(t.n), [index[c] for c in entries])

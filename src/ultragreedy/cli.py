@@ -10,10 +10,10 @@ Each handler computes and returns its output and exit code; `main` alone
 writes the output and maps errors to exit codes.
 
 A rational string is an integer or "p/q" with surrounding whitespace
-trimmed: decimal digits, a minus sign only in front, and an unsigned
-denominator.  Each enumerating subcommand takes its limit from --cap alone:
-validate 64 points, greedy --ties all 10**6 sequences, greedoid (instance or
---system) 16 ground elements.
+trimmed: ASCII digits, a minus sign only in front, and an unsigned
+denominator; integer options and lists take its integers.  Each enumerating
+subcommand takes its limit from --cap alone: validate 64 points, greedy
+--ties all 10**6 sequences, greedoid (instance or --system) 16 ground elements.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class InputError(Exception):
     """Anything wrong with arguments or input files; maps to exit code 2."""
 
 
-_RATIONAL_FORM = re.compile(r"(-?\d+)(?:/(\d+))?")
+_RATIONAL_FORM = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # ASCII: \d matches any Unicode digit
 
 
 def _rational(value: str | int, what: str) -> Fraction:
@@ -87,9 +87,20 @@ def _split(text: str) -> list[str]:
     return [part for part in str(text).split(",") if part.strip() != ""]
 
 
+def _integer(text: str) -> int:
+    """A rational string with no denominator: every integer option and list."""
+    match = _RATIONAL_FORM.fullmatch(text.strip())
+    if match is None or match[2] is not None:
+        raise ValueError(f"{text!r} is not an integer")  # argparse: exit 2
+    return int(match[1])
+
+
+_integer.__name__ = "int"  # argparse names it in its message: "invalid int value: '+2'"
+
+
 def _int_list(text: str, what: str) -> list[int]:
     try:
-        return [int(part) for part in _split(text)]
+        return [_integer(part) for part in _split(text)]
     except ValueError:
         raise InputError(f"{what} must be comma-separated integers, got {text!r}") from None
 
@@ -299,7 +310,7 @@ def cmd_greedy(args: argparse.Namespace) -> tuple[Iterator[str], int]:
         if args.mode == "subseq":
             raise InputError("--ties all supports permutation mode only")
         # counted and held to the cap here, before the first byte is written
-        paths = greedy._greedy_paths(t, pts, m, args.cap)
+        paths = greedy._paths(greedy._set_dag(t, pts, m, args.cap)[0])
     else:
         select = greedy.greedy_subsequence if args.mode == "subseq" else greedy.greedy_permutation
         trace = select(t, pts, m)
@@ -460,22 +471,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the ultrametric inequality of an instance")
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=64, help="maximum point count (default: %(default)s)")
+    p.add_argument("--cap", type=_integer, default=64, help="maximum point count (default: %(default)s)")
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("greedy", help="run or enumerate greedy selections")
     p.add_argument("instance")
     p.add_argument("--subset", help="comma-separated point labels (default: all)")
-    p.add_argument("--m", type=int, help="selection length (default: subset size)")
+    p.add_argument("--m", type=_integer, help="selection length (default: subset size)")
     p.add_argument("--mode", choices=("perm", "subseq"), default="perm")
     p.add_argument("--ties", choices=("first", "all"), default="first")
-    p.add_argument("--cap", type=int, default=10**6, help="enumeration cap for --ties all (default: %(default)s)")
+    p.add_argument("--cap", type=_integer, default=10**6, help="enumeration cap for --ties all (default: %(default)s)")
     p.set_defaults(handler=cmd_greedy)
 
     p = sub.add_parser("nu", help="k-th greedy perimeter increment")
     p.add_argument("instance")
     p.add_argument("--subset")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--mode", choices=("perm", "subseq"), default="perm")
     p.set_defaults(handler=cmd_nu)
 
@@ -483,22 +494,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", nargs="?")
     p.add_argument("--system", help="check a set-system JSON file instead of an instance")
     p.add_argument("--emit", choices=("sets", "check"), default="check")
-    p.add_argument("--cap", type=int, default=16, help="ground-size cap, for an instance or --system (default: %(default)s)")
+    p.add_argument("--cap", type=_integer, default=16, help="ground-size cap, for an instance or --system (default: %(default)s)")
     p.set_defaults(handler=cmd_greedoid)
 
     p = sub.add_parser("generate", help="write an instance of a standard family")
     p.add_argument("--family", required=True, choices=("constant", "mod", "padic", "padic-log", "rseq", "random"))
     p.add_argument("--points", help="comma-separated integers; --points=-3,5 when the first is negative")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_integer)
     p.add_argument("--weights", help="comma-separated rationals; --weights=-1,2 when the first is negative")
-    p.add_argument("--m", type=int, help="modulus for --family mod")
+    p.add_argument("--m", type=_integer, help="modulus for --family mod")
     p.add_argument("--eps", help="rational; --eps=-1/2 when negative")
     p.add_argument("--alpha", help="rational; --alpha=-2 when negative")
-    p.add_argument("--p", type=int)
+    p.add_argument("--p", type=_integer)
     p.add_argument("--r", help="comma-separated divisibility chain")
     p.add_argument("--c", help="comma-separated weakly decreasing rationals; --c=-1,-2 when the first is negative")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--depth", type=_integer, default=3)
     p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("tree", help="instance from a weighted tree file")
@@ -506,9 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_tree)
 
     p = sub.add_parser("pordering", help="compute or check integer P-orderings")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_integer, required=True)
     p.add_argument("--points", required=True, help="comma-separated integers; --points=-3,5 when the first is negative")
-    p.add_argument("--m", type=int)
+    p.add_argument("--m", type=_integer)
     p.add_argument("--check", help="comma-separated sequence to test; --check=-3,5 when the first is negative")
     p.set_defaults(handler=cmd_pordering)
 
@@ -519,19 +530,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    # exact rationals may carry integers of any length, in and out; the
-    # caller's int/str digit limit comes back on return
+    # exact rationals may carry integers of any length, in options, files and
+    # output alike; the caller's int/str digit limit comes back on return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
+        args = parser.parse_args(argv)
         payload, code = args.handler(args)
         _emit(payload, args.out)
         sys.stdout.flush()  # a closed pipe shows here, not in the final flush at exit
         return code
+    except SystemExit as exc:  # argparse: a usage error or --help
+        return int(exc.code or 0)
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

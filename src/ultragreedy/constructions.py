@@ -62,10 +62,7 @@ def constant_triple(n: int, weights: Iterable | None = None) -> UltraTriple:
     """n points, all pairwise distances equal to 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    labels = tuple(str(i) for i in range(n))
-    one = Fraction(1)
-    dist = tuple((one,) * i for i in range(n))
-    return UltraTriple(labels, _weights(n, weights), dist)
+    return _triple_from_blocks(range(n), Fraction(1), (), weights)
 
 
 def mod_triple(

@@ -5,8 +5,8 @@ C, each step maximizing the perimeter of the growing set; subsequences
 sample with replacement, so every point of C competes at every step and
 self-distances matter (full triples only).  The k-th perimeter increment of
 a greedy trace is independent of how ties were broken, which makes the
-`nu_bar`/`nu` invariants well-defined.  Every increment this module returns
-is computed by the engine; `extend_greedy` recomputes its prefix's too.
+`nu_bar`/`nu` invariants well-defined.  Every answer is one engine run:
+`extend_greedy`'s one walk checks its prefix as it recomputes it.
 The engine keeps its gains as integers over a common denominator (see
 `_scaled`); Fractions are made only for the values it returns.
 Tie enumeration and counting run the engine once per distinct set of picks,
@@ -146,17 +146,18 @@ def is_greedy_permutation(t: UltraTriple, C: Iterable[int], seq: Sequence[int]) 
 def extend_greedy(t: UltraTriple, C: Iterable[int], prefix: GreedyTrace, m: int) -> GreedyTrace:
     """Extend a greedy trace to m points, staying greedy (lowest-index ties).
 
-    Only the prefix's points are used: the walk recomputes every increment,
-    the prefix's own included.
+    One walk follows the prefix, which checks it, and extends it; only the
+    prefix's points are used, and every increment is recomputed.
     """
     pts = _subset(t, C)
     if prefix.mode != "permutation":
         raise ValueError("only permutation traces can be extended here")
-    if not is_greedy_permutation(t, pts, prefix.points):
-        raise ValueError("prefix is not a greedy permutation of C")
     if not len(prefix) <= m <= len(pts):
         raise ValueError(f"need |prefix|={len(prefix)} <= m={m} <= |C|={len(pts)}")
-    return GreedyTrace(*_walk(t, pts, prefix.points, m, False), "permutation")
+    walk = _walk(t, pts, prefix.points, m, False)
+    if walk is None:
+        raise ValueError("prefix is not a greedy permutation of C")
+    return GreedyTrace(*walk, "permutation")
 
 
 def _set_dag(t: UltraTriple, C: Iterable[int], m: int, cap: float = math.inf) -> tuple[list[dict], int]:
@@ -234,14 +235,6 @@ def _paths(levels: list[dict]) -> Iterator[tuple[tuple[int, ...], tuple[Fraction
                 stack.append((chosen + (x,), increments, A | 1 << x))
 
 
-def _greedy_paths(
-    t: UltraTriple, C: Iterable[int], m: int, cap: float
-) -> Iterator[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
-    """`all_greedy_traces` as lazy (points, increments) pairs: a bad m or an
-    exceeded cap raises here, before the first pair exists."""
-    return _paths(_set_dag(t, C, m, cap)[0])
-
-
 def all_greedy_traces(t: UltraTriple, C: Iterable[int], m: int, cap: int = 10**6) -> tuple[GreedyTrace, ...]:
     """Every greedy m-permutation of C with its increments, in lexicographic order.
 
@@ -250,14 +243,14 @@ def all_greedy_traces(t: UltraTriple, C: Iterable[int], m: int, cap: int = 10**6
     paths are counted before any trace is built, and `cap` bounds that
     count: exceeding it is an error, never a truncation.
     """
-    return tuple(GreedyTrace(points, increments, "permutation") for points, increments in _greedy_paths(t, C, m, cap))
+    return tuple(GreedyTrace(points, increments, "permutation") for points, increments in _paths(_set_dag(t, C, m, cap)[0]))
 
 
 def all_greedy_permutations(
     t: UltraTriple, C: Iterable[int], m: int, cap: int = 10**6
 ) -> tuple[tuple[int, ...], ...]:
     """Every greedy m-permutation of C, in lexicographic order (see `all_greedy_traces`)."""
-    return tuple(points for points, _ in _greedy_paths(t, C, m, cap))
+    return tuple(points for points, _ in _paths(_set_dag(t, C, m, cap)[0]))
 
 
 def count_greedy_permutations(t: UltraTriple, C: Iterable[int], m: int) -> int:
@@ -276,7 +269,7 @@ def nu_bar(t: UltraTriple, C: Iterable[int], k: int) -> Fraction:
     pts = _subset(t, C)
     if not 1 <= k <= len(pts):
         raise ValueError(f"k={k} out of range 1..{len(pts)}")
-    return greedy_permutation(t, pts, k).increments[k - 1]
+    return _walk(t, pts, (), k, False)[1][k - 1]
 
 
 def greedy_subsequence(t: FullUltraTriple, C: Iterable[int], m: int) -> GreedyTrace:
@@ -305,12 +298,9 @@ def is_greedy_subsequence(t: FullUltraTriple, C: Iterable[int], seq: Sequence[in
 
 def nu(t: FullUltraTriple, C: Iterable[int], k: int) -> Fraction:
     """The k-th perimeter increment of any greedy subsequence of C."""
-    pts = _subset(t, C)
-    if not pts:
-        raise ValueError("C must be nonempty")
     if k < 1:
         raise ValueError(f"k={k} must be at least 1")
-    return greedy_subsequence(t, pts, k).increments[k - 1]
+    return greedy_subsequence(t, C, k).increments[k - 1]
 
 
 def clone_triple(t: FullUltraTriple, N: int) -> FullUltraTriple:

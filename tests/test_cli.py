@@ -550,7 +550,9 @@ class TestRationalGrammar:
         assert (code, json.loads(out), err) == (0, value, "")
 
     @pytest.mark.parametrize(
-        "text", ["1/-2", "-1/-2", "+1", "1.5", "1e3", "1_000", "1 / 2", "", "/2", "2/"]
+        # "\u0663" (ARABIC-INDIC DIGIT THREE) and "\uff11" (FULLWIDTH DIGIT ONE) are digits to
+        # `\d` and to `int`, not to the grammar
+        "text", ["1/-2", "-1/-2", "+1", "1.5", "1e3", "1_000", "1 / 2", "", "/2", "2/", "\u0663", "1/\uff11"]
     )
     def test_rejected(self, capsys, tmp_path, text):
         code, out, err = run(capsys, "nu", _one_point_instance(tmp_path, text), "--k", "1")
@@ -560,6 +562,81 @@ class TestRationalGrammar:
     def test_zero_denominator(self, capsys, tmp_path):
         code, out, err = run(capsys, "nu", _one_point_instance(tmp_path, "1/0"), "--k", "1")
         assert (code, out, err) == (2, "", "error: bad rational in weights: Fraction(1, 0)\n")
+
+
+# one per integer option: the value goes where "{}" stands
+INTEGER_OPTIONS = [
+    ("validate", "f.json", "--cap", "{}"),
+    ("greedy", "f.json", "--m", "{}"),
+    ("greedy", "f.json", "--cap", "{}"),
+    ("nu", "f.json", "--k", "{}"),
+    ("greedoid", "f.json", "--cap", "{}"),
+    ("generate", "--family", "constant", "--n", "{}"),
+    ("generate", "--family", "mod", "--m", "{}"),
+    ("generate", "--family", "padic", "--p", "{}"),
+    ("generate", "--family", "random", "--seed", "{}"),
+    ("generate", "--family", "random", "--depth", "{}"),
+    ("pordering", "--points", "1,2", "--p", "{}"),
+    ("pordering", "--p", "2", "--points", "1,2", "--m", "{}"),
+]
+
+# each one an integer to `int`, none to the grammar
+OUTSIDE_THE_GRAMMAR = ["+2", " +2 ", "2_0", "\u0663", "\uff11", "1\u0662"]
+
+
+class TestIntegerGrammar:
+    """Integer options and lists take the rational grammar's integers: ASCII
+    digits, surrounding whitespace trimmed, a minus sign only in front."""
+
+    @pytest.mark.parametrize("argv", INTEGER_OPTIONS, ids=lambda argv: " ".join(argv[:-1]))
+    @pytest.mark.parametrize("text", OUTSIDE_THE_GRAMMAR)
+    def test_option_refuses(self, capsys, argv, text):
+        code, out, err = run(capsys, *[text if a == "{}" else a for a in argv])
+        assert (code, out) == (2, "")
+        assert err.count("error:") == 1
+        assert err.endswith(f"error: argument {argv[-2]}: invalid int value: {text!r}\n")
+
+    @pytest.mark.parametrize("text", [" 3 ", "3", "003", "\t3\n"])
+    def test_option_accepts(self, capsys, text):
+        code, out, err = run(capsys, "pordering", "--p", "2", "--points", "0,1,2,3", "--m", text)
+        assert (code, out, err) == (0, "[0, 1, 2]\n", "")
+
+    def test_option_of_any_length(self, capsys, parity5_file):
+        cap = "1" + "0" * 5000  # past the default int/str digit limit, as a list entry may be
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "validate", str(parity5_file), "--cap", cap)
+        assert (code, err) == (0, "") and json.loads(out)["ok"]
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_negative_option(self, capsys):
+        code, out, _ = run(capsys, "generate", "--family", "random", "--n", "2", "--seed=-3")
+        assert code == 0 and json.loads(out)["points"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pordering", "--p", "2", "--points", "{}", "--m", "3"),
+            ("pordering", "--p", "2", "--points", "1,2", "--check", "{}"),
+            ("generate", "--family", "rseq", "--points", "0,1", "--r", "{}", "--c", "1"),
+            ("generate", "--family", "padic", "--p", "2", "--points", "{}"),
+        ],
+        ids=lambda argv: argv[argv.index("{}") - 1],
+    )
+    @pytest.mark.parametrize("text", ["+1,2_0,\u0663", "1,+2", "2_0", "\uff11"])
+    def test_list_refuses(self, capsys, argv, text):
+        option = argv[argv.index("{}") - 1]
+        code, out, err = run(capsys, *[text if a == "{}" else a for a in argv])
+        assert (code, out, err) == (2, "", f"error: {option} must be comma-separated integers, got {text!r}\n")
+
+    def test_list_trims_and_keeps_a_leading_minus(self, capsys):
+        code, out, err = run(capsys, "pordering", "--p", "2", "--points= -3 , 5", "--m", "2")
+        assert (code, out, err) == (0, "[-3, 5]\n", "")
+
+    def test_distance_outside_the_grammar(self, capsys, tmp_path):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"points": ["a", "b"], "weights": ["0", "0"], "distances": [[], ["\uff11"]]}))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out, err) == (2, "", "error: bad rational in distances: '\uff11' is not p/q or integer\n")
 
 
 class TestReadInstance:
