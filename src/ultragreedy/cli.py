@@ -14,6 +14,7 @@ trimmed: ASCII digits, a minus sign only in front, and an unsigned
 denominator; integer options and lists take its integers.  Each enumerating
 subcommand takes its limit from --cap alone: validate 64 points, greedy
 --ties all 10**6 sequences, greedoid (instance or --system) 16 ground elements.
+pordering --m is held to 10**6 picks.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import json
 import os
 import re
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from importlib.util import LazyLoader, find_spec, module_from_spec
+from json.decoder import WHITESPACE, JSONArray, JSONObject
 from json.encoder import encode_basestring_ascii
 
 TYPE_CHECKING = False  # type checkers read it as True; `typing` is never loaded
@@ -109,10 +111,46 @@ def _rational_list(text: str, what: str) -> list[Fraction]:
     return [_rational(part, what) for part in _split(text)]
 
 
-def _load_json(path: str) -> object:
+def _decode(text: str) -> object:
+    """json.loads(text), with each string in the arrays of a top-level object
+    shared with every equal one read before it: a string element, or every
+    entry of an element that is a list of strings.  An ultrametric on n points
+    has at most n - 1 distinct distances, but json would hold all n(n-1)/2
+    entry strings at once.  The memo takes strings only (JSON 1, 1.0 and true
+    are equal keys) and is freed with the call.  Values and errors are json's
+    own: its Python walkers, its C scanner."""
+    scan = json.JSONDecoder().scan_once
+    share = {}.setdefault
+
+    def element(s: str, end: int) -> tuple[object, int]:
+        value, end = scan(s, end)
+        if type(value) is str:
+            value = share(value, value)
+        elif type(value) is list:
+            try:
+                "".join(value)  # a TypeError unless every entry is a string
+                value = list(map(share, value, value))
+            except TypeError:  # kept as decoded
+                pass
+        return value, end
+
+    def member(s: str, end: int) -> tuple[object, int]:
+        return JSONArray((s, end + 1), element) if s[end : end + 1] == "[" else scan(s, end)
+
+    start = WHITESPACE.match(text).end()
+    if text[start : start + 1] != "{":
+        return json.loads(text)
+    doc, end = JSONObject((text, start + 1), True, member, None, None)
+    end = WHITESPACE.match(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return doc
+
+
+def _load_json(path: str, decode: Callable[[str], object] = json.loads) -> object:
     try:
         with open(path, encoding="utf-8") as f:  # JSON text is UTF-8, whatever the locale
-            return json.load(f)
+            return decode(f.read())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:  # a ValueError: caught before the JSON errors
@@ -126,7 +164,7 @@ def _load_json(path: str) -> object:
 def read_instance(path: str) -> core.UltraTriple:
     # core is loaded before the document exists, not while it is alive
     plain, full = core.UltraTriple, core.FullUltraTriple
-    doc = _load_json(path)
+    doc = _load_json(path, _decode)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
     memo: dict[str, Fraction] = {}
@@ -456,6 +494,8 @@ def cmd_pordering(args: argparse.Namespace) -> tuple[str, int]:
         verdict = bhargava.is_pm_ordering(points, args.p, _int_list(args.check, "--check"))
         return json.dumps(verdict), 0 if verdict else 1
     m = len(points) if args.m is None else args.m
+    if m > 10**6:  # before the first pick: the ordering is held in memory
+        raise InputError("--m exceeds the pordering cap 1000000")
     return json.dumps(bhargava.pm_ordering(points, args.p, m)), 0
 
 

@@ -1,9 +1,11 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +30,7 @@ from ultragreedy import (
     points_from_mask,
     random_ultra_triple,
 )
-from ultragreedy.cli import _rational, _traces_json, main, parse_tree_file, read_instance
+from ultragreedy.cli import _decode, _rational, _traces_json, instance_document, main, parse_tree_file, read_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -527,6 +529,16 @@ class TestCaps:
         code, out, _ = run(capsys, "greedoid", "--system", str(path), "--cap", "17")
         assert code == 0 and json.loads(out)["all_hold"] is True
 
+    def test_pordering_m_capped_before_the_first_pick(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "pordering", "--p", "2", "--points", "1,2", "--m", str(10**12))
+        assert (code, out, err) == (2, "", "error: --m exceeds the pordering cap 1000000\n")
+        assert time.perf_counter() - start < 1
+        code, out, err = run(capsys, "pordering", "--p", "2", "--points", "1,2", "--m", str(10**6 + 1))
+        assert (code, out, err) == (2, "", "error: --m exceeds the pordering cap 1000000\n")
+        code, out, _ = run(capsys, "pordering", "--p", "2", "--points", "1,2", "--m", "3")
+        assert (code, out) == (0, "[1, 2, 1]\n")
+
     def test_environment_does_not_set_caps(self, capsys, parity5_file, monkeypatch):
         jobs = (["validate", str(parity5_file)], ["greedoid", str(parity5_file), "--emit", "sets"])
         want = [run(capsys, *argv)[:2] for argv in jobs]
@@ -835,6 +847,110 @@ class TestParsing:
             code = proc.wait()
         assert head.startswith(b'{\n  "mode": "permutation",')
         assert (code, err) == (2, "error: stdout closed before all output was written\n")
+
+
+def _outcome(decode, text):
+    try:
+        return "value", repr(decode(text))  # repr tells 1, 1.0 and True apart
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_DEEP = 100_000
+# what the sweep's edits write: JSON's own characters, a BOM and non-ASCII
+_EDITS = '{}[],:"\\ \t\n\r0123456789-+.eE/abfnrtu\x00\x1f\ufeff\u00e9'
+
+
+class TestDecoder:
+    """`_decode` gives exactly json.loads's value or exception, message included.
+
+    It walks a top-level object with json.decoder's JSONObject and JSONArray,
+    which are not in the module's __all__, so CI runs this on every Python
+    it supports.
+    """
+
+    @pytest.mark.parametrize("name", ["escapes8.json", "padic6.json", "planted5.system.json"])
+    def test_sweep_of_truncations_and_edits(self, name):
+        text = (GOLDEN / name).read_text(encoding="utf-8")
+        compact = json.dumps(json.loads(text))
+        rng = random.Random(name)
+        cases = [src[:k] for src in (text, compact) for k in range(len(src) + 1)]
+        for _ in range(4000):
+            chars = list(rng.choice((text, compact)))
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(chars))
+                op = rng.randrange(3)
+                if op == 0:
+                    chars[i] = rng.choice(_EDITS)
+                elif op == 1:
+                    del chars[i]
+                else:
+                    chars.insert(i, rng.choice(_EDITS))
+            cases.append("".join(chars))
+        malformed = 0
+        for case in cases:
+            got = _outcome(_decode, case)
+            assert got == _outcome(json.loads, case), case
+            malformed += got[0] != "value"
+        assert 0 < malformed < len(cases)  # the sweep reaches both outcomes
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '\ufeff{"a": ["1"]}',  # a BOM
+            '{"a": ["1"]} x', '{"a": ["1"]}{}', '{"a": 1}]', ' \n{"a": [] }\t ',  # trailing data
+            '["1", "1"]', '"x"', "3", "null", "", " ", "[", "]",  # not an object
+            "[1,]", '{"a": [1,]}', '{"a": 1,}', '{"a": [1 2]}', '{"a": ["1"', '{"a": [', '{"a"', "{", "{}",
+            '{"a": ["1"], "a": ["2"], "b": {"c": 1, "c": 2}}',  # duplicate keys
+            '{"a": [NaN, Infinity, -Infinity], "b": NaN}', '{"a": [nan]}',
+            '{"a": ["\x01"]}', '{"a\n": 1}', '{"a": "\t"}', '{"a": ["\\u00e9", "\\ud800", "\\x"]}',  # control characters, escapes
+            '{"d": [["1", 2], [3, "4"], ["5", "5"], [], [[]], ["6", ["6"]], [true, "1", 1.0, 1]]}',  # mixed rows
+            '{"a": ["1", 1, 1.0, true, null, {"1": "1"}, "1"]}',
+        ],
+        ids=repr,
+    )
+    def test_hand_picked_cases(self, text):
+        assert _outcome(_decode, text) == _outcome(json.loads, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"a": ' + "[" * _DEEP + "]" * _DEEP + "}",
+            '{"a": [' + '{"b": ' * _DEEP + "1" + "}" * _DEEP + "]}",
+            "[" * _DEEP + "]" * _DEEP,
+        ],
+        ids=["array-in-object", "object-in-array", "top-level-array"],
+    )
+    def test_deep_nesting(self, text):
+        got = _outcome(_decode, text)
+        assert got[0] is RecursionError and got == _outcome(json.loads, text)
+
+    def test_equal_strings_share_one_object(self):
+        doc = _decode('{"w": ["1/2", "1/2"], "d": [[], ["1/2"], ["1/2", "3"]]}')
+        w, d = doc["w"], doc["d"]
+        assert w[0] is w[1] is d[1][0] is d[2][0]
+
+    def test_set_system_files_skip_the_walk(self, capsys, monkeypatch):
+        # their arrays hold numbers, with no strings to share: json.loads reads them faster
+        monkeypatch.setattr("ultragreedy.cli._decode", None)
+        code, out, _ = run(capsys, "greedoid", "--system", str(GOLDEN / "planted5.system.json"))
+        assert code == 1 and json.loads(out)["all_hold"] is False
+
+    def test_read_peak_memory(self, tmp_path):
+        # json.loads keeps one string per table entry (45k here) until the
+        # Fractions replace them; _decode keeps one per distinct value
+        path = tmp_path / "padic300.json"
+        path.write_text(json.dumps(instance_document(padic_triple(range(300), 2))))
+        read_instance(str(path))  # modules loaded before the measured read
+        tracemalloc.start()
+        try:
+            t = read_instance(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_400_000  # 1.98 MB through json.loads, 0.82 MB here
+        entries = [x for row in t.dist for x in row]
+        assert len({id(x) for x in entries}) == len(set(entries)) == 9  # one Fraction per distinct string
 
 
 @contextmanager
