@@ -210,13 +210,29 @@ def read_instance(path: str) -> core.UltraTriple:
 
 
 def instance_document(t: core.UltraTriple) -> dict:
-    doc: dict = {
-        "points": list(t.labels),
-        "weights": [str(w) for w in t.weights],
-        "distances": [[str(x) for x in row] for row in t.dist],
-    }
+    """The instance file's document for `t`, each distinct rational object
+    formatted once: an ultrametric has at most n - 1 distinct distances, and
+    the constructors share one object per value.  `shown` maps id(x) to
+    str(x), safe because `t` keeps every x alive for the call.  It holds at
+    most 2n entries (n weights and n distances): a row with an object not yet
+    seen that might not fit is formatted entry by entry, so a table of
+    distinct objects costs about what one string per entry costs."""
+    shown: dict[int, str] = {}
+
+    def strs(row: tuple) -> list[str]:
+        try:
+            return list(map(shown.__getitem__, map(id, row)))
+        except KeyError:
+            if len(shown) + len(row) > 2 * t.n:
+                return [str(x) for x in row]
+            for x in row:
+                if id(x) not in shown:
+                    shown[id(x)] = str(x)
+            return list(map(shown.__getitem__, map(id, row)))
+
+    doc: dict = {"points": list(t.labels), "weights": strs(t.weights), "distances": list(map(strs, t.dist))}
     if isinstance(t, core.FullUltraTriple):
-        doc["selfdist"] = [str(x) for x in t.selfdist]
+        doc["selfdist"] = strs(t.selfdist)
     return doc
 
 

@@ -342,9 +342,10 @@ def extend_to_full(t: UltraTriple, N: int | str | Fraction) -> FullUltraTriple:
     ultrametric inequality still holds with equality.
     """
     N = rational(N)
-    pair_dists = [t.d(a, b) for a in t.points() for b in range(a)]
-    if pair_dists and N > min(pair_dists):
-        raise ValueError(f"self-distance {N} exceeds the minimum pairwise distance {min(pair_dists)}")
+    # each row's minimum over its distinct objects: few, as rows share them
+    low = min((min(dict(zip(map(id, row), row)).values()) for row in t.dist if row), default=None)
+    if low is not None and N > low:
+        raise ValueError(f"self-distance {N} exceeds the minimum pairwise distance {low}")
     return FullUltraTriple(t.labels, t.weights, t.dist, (N,) * t.n)
 
 

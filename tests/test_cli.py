@@ -18,6 +18,7 @@ from ultragreedy import (
     FullUltraTriple,
     GreedyTrace,
     UltraTriple,
+    WeightedTree,
     all_greedy_traces,
     bhargava_greedoid,
     extend_to_full,
@@ -29,6 +30,8 @@ from ultragreedy import (
     padic_triple,
     points_from_mask,
     random_ultra_triple,
+    shift_distances,
+    tree_triple,
 )
 from ultragreedy.cli import _decode, _rational, _traces_json, instance_document, main, parse_tree_file, read_instance
 
@@ -951,6 +954,96 @@ class TestDecoder:
         assert peak < 1_400_000  # 1.98 MB through json.loads, 0.82 MB here
         entries = [x for row in t.dist for x in row]
         assert len({id(x) for x in entries}) == len(set(entries)) == 9  # one Fraction per distinct string
+
+
+def _per_entry_document(t):
+    """The instance document with one `str` call per entry: the reference."""
+    doc = {
+        "points": list(t.labels),
+        "weights": [str(w) for w in t.weights],
+        "distances": [[str(x) for x in row] for row in t.dist],
+    }
+    if isinstance(t, FullUltraTriple):
+        doc["selfdist"] = [str(x) for x in t.selfdist]
+    return doc
+
+
+def _fresh(value):
+    """An object equal to `value` that is not `value`."""
+    return Fraction(value.numerator, value.denominator)
+
+
+def _star_tree(n):
+    # leaf i hangs from the root at weight i/7: n(n-1)/2 distinct distance objects
+    return tree_triple(WeightedTree(["r"] + [f"v{i}" for i in range(n)], [("r", f"v{i}", Fraction(i, 7)) for i in range(n)], "r"))
+
+
+def _peak(fn, *args):
+    """tracemalloc peak of fn(*args), in bytes: its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_X = Fraction(-7, 3)
+_DOCUMENT_CASES = {
+    "hierarchy": random_ultra_triple(5, 14, 4),
+    "padic": padic_triple(range(40), 2),
+    "padic-log": padic_log_triple(range(1, 30), 3, [Fraction(i, 5) for i in range(29)]),
+    "full": extend_to_full(padic_triple(range(12), 3), Fraction(1, 9)),
+    "equal-distinct-objects": UltraTriple(
+        "abcd",
+        [_fresh(Fraction(1, 2)) for _ in range(4)],
+        [[], [_fresh(Fraction(2, 3))], [_fresh(Fraction(1, 2)), _fresh(Fraction(2, 3))], [_fresh(Fraction(2, 3))] * 3],
+    ),
+    "one-object-everywhere": FullUltraTriple("abc", [_X] * 3, [[], [_X], [_X, _X]], [_X] * 3),
+    "empty": UltraTriple((), (), ()),
+    "one-point": FullUltraTriple(("a",), (Fraction(5, 2),), ((),), (Fraction(-1),)),
+    "tree-unshared": _star_tree(40),
+    "shifted-unshared": shift_distances(extend_to_full(padic_triple(range(30), 2), 0), Fraction(1, 3)),
+}
+
+
+class TestInstanceDocument:
+    """The writer formats each distinct rational object once, within a
+    memo of 2n entries, and gives the per-entry document's exact bytes."""
+
+    @pytest.mark.parametrize("name", list(_DOCUMENT_CASES))
+    def test_matches_per_entry_reference(self, name):
+        t = _DOCUMENT_CASES[name]
+        want = _per_entry_document(t)
+        got = instance_document(t)
+        assert json.dumps(got) == json.dumps(want)
+        assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
+
+    def test_unshared_tables_exceed_the_memo(self):
+        # the cases above that the memo cannot hold: more than 2n distinct objects
+        for name in ("tree-unshared", "shifted-unshared"):
+            t = _DOCUMENT_CASES[name]
+            assert len({id(x) for row in t.dist for x in row}) > 2 * t.n
+
+    def test_distance_strings_shared(self):
+        t = padic_triple(range(300), 2)
+        doc = instance_document(t)
+        shown = {id(s) for row in doc["distances"] for s in row}
+        assert len(shown) <= t.n - 1  # 9 here; one per entry (44,850) when each is formatted
+        assert len(shown) == len({s for row in doc["distances"] for s in row})
+
+    def test_peak_memory_shared(self):
+        t = padic_triple(range(300), 2)
+        instance_document(padic_triple(range(3), 2))  # modules loaded before the measured call
+        peak = _peak(instance_document, t)
+        assert peak < 1_200_000  # 0.41 MB; 2.71 MB with one string per entry
+
+    def test_peak_memory_unshared(self):
+        # a table of distinct objects costs what one string per entry costs, plus the memo
+        t = shift_distances(extend_to_full(padic_triple(range(300), 2), 0), 1)
+        ref = _peak(_per_entry_document, t)
+        peak = _peak(instance_document, t)
+        assert peak <= 1.1 * ref  # 2.76 against 2.73 MB
 
 
 @contextmanager

@@ -8,6 +8,7 @@ from ultragreedy.bhargava import _vp_int
 
 from ultragreedy import (
     EquivHierarchy,
+    UltraTriple,
     WeightedTree,
     all_greedy_permutations,
     constant_triple,
@@ -343,8 +344,24 @@ class TestExtendToFull:
         assert full.selfdist == (F(1),) * 5
 
     def test_too_large_rejected(self, parity5):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             extend_to_full(parity5, F(3, 2))
+        assert str(exc.value) == "self-distance 3/2 exceeds the minimum pairwise distance 1"
+
+    @pytest.mark.parametrize("N", [F(-10**30), F(0), F(7, 3), 10**30])
+    def test_no_pairs_accept_any_self_distance(self, N):
+        assert extend_to_full(UltraTriple((), (), ()), N).selfdist == ()
+        assert extend_to_full(UltraTriple(("a",), (F(1),), ((),)), N).selfdist == (F(N),)
+
+    def test_minimum_held_by_distinct_equal_objects(self):
+        # the minimum 1/2 sits in three objects, none in the first row
+        half = [F(1, 2) + 0 for _ in range(3)]
+        assert len({id(x) for x in half}) == 3
+        t = UltraTriple("abcd", [F(0)] * 4, [[], [F(3)], [half[0], F(3)], [F(3), half[1], half[2]]])
+        assert extend_to_full(t, F(1, 2)).selfdist == (F(1, 2),) * 4
+        with pytest.raises(ValueError) as exc:
+            extend_to_full(t, F(1, 2) + F(1, 10**20))
+        assert str(exc.value) == f"self-distance {F(1, 2) + F(1, 10**20)} exceeds the minimum pairwise distance 1/2"
 
     def test_padic_zero(self):
         full = extend_to_full(padic_triple([0, 1, 2, 4], 2), F(0))

@@ -10,7 +10,9 @@ self-distance violations (b, b, a) and exits 1.  `planted5.system.json` is every
 of size <= 2 of five points plus two 3-sets sharing one point.  `escapes8` is a
 valid full triple whose labels need JSON escapes (a quote, a backslash, a
 newline, a tab, non-ASCII, U+2028 and a non-BMP emoji), so the `greedy`
-writer's escaping is pinned.
+writer's escaping is pinned.  The `generate` cases cover every family, and
+`tree7.txt` is a small weighted tree with fractional edge weights, so the
+instance writer behind `generate` and `tree` is pinned too.
 
 Regenerate (only when an output change is intended) with
 
@@ -41,6 +43,14 @@ CHECKS = (
     ("p3-repeat", ["--p", "3", "--points", "0,1,2,3,4,5,6,12", "--check", "0,1,2,3,4,5,6,12,0,0"]),
     ("p3-early-repeat", ["--p", "3", "--points", "0,1,2,3,4,5,6,12", "--check", "0,3,0"]),
 )
+GENERATE = (
+    ("constant-weights", ["--family", "constant", "--n", "5", "--weights", "1/2,-3,0,7,2/3"]),
+    ("mod", ["--family", "mod", "--points", "1,2,3,4,5,6,7", "--m", "3", "--eps", "1/2", "--alpha", "2"]),
+    ("padic", ["--family", "padic", "--points", "0,1,2,3,4,5,6,7,8,12,16", "--p", "2"]),
+    ("padic-log", ["--family", "padic-log", "--points=-3,0,1,3,9,27,30", "--p", "3", "--weights", "1,2,3,4,5,6,-1/7"]),
+    ("rseq", ["--family", "rseq", "--points", "0,1,2,3,4,6,8,12", "--r", "1,2,4", "--c", "3,2,1/2"]),
+    ("random-seed7", ["--family", "random", "--n", "7", "--seed", "7"]),
+)
 
 
 def _cases() -> list[tuple[str, list[str]]]:
@@ -66,6 +76,8 @@ def _cases() -> list[tuple[str, list[str]]]:
     cases.append(("planted5.greedoid-system", ["greedoid", "--system", str(GOLDEN / "planted5.system.json")]))
     cases += [(f"pordering-{name}", ["pordering", *argv]) for name, argv in PORDERING]
     cases += [(f"pordering-check-{name}", ["pordering", *argv]) for name, argv in CHECKS]
+    cases += [(f"generate-{name}", ["generate", *argv]) for name, argv in GENERATE]
+    cases.append(("tree7.tree", ["tree", str(GOLDEN / "tree7.txt")]))
     return cases
 
 
