@@ -147,14 +147,19 @@ def _decode(text: str) -> object:
     return doc
 
 
-def _load_json(path: str, decode: Callable[[str], object] = json.loads) -> object:
+def _read_text(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as f:  # JSON text is UTF-8, whatever the locale
-            return decode(f.read())
+        with open(path, encoding="utf-8") as f:  # JSON and tree text is UTF-8, whatever the locale
+            return f.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:  # a ValueError: caught before the JSON errors
+    except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not valid UTF-8: {exc}") from None
+
+
+def _load_json(path: str, decode: Callable[[str], object] = json.loads) -> object:
+    try:
+        return decode(_read_text(path))
     except (ValueError, RecursionError) as exc:
         # ValueError covers malformed JSON and, outside `main`, integers
         # longer than the int/str digit limit; RecursionError deep nesting
@@ -452,13 +457,7 @@ def cmd_generate(args: argparse.Namespace) -> tuple[str, int]:
 def parse_tree_file(path: str) -> WeightedTree:
     from .constructions import WeightedTree
 
-    try:
-        with open(path, encoding="utf-8") as f:  # whatever the locale, as JSON input
-            lines = f.read().splitlines()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path} is not valid UTF-8: {exc}") from None
+    lines = _read_text(path).splitlines()
     edges: list[tuple[str, str, Fraction]] = []
     root = None
     leaves: tuple[str, ...] | None = None

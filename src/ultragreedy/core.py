@@ -13,7 +13,7 @@ on exact ties between perimeters, so floats are rejected at the door.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations
 
@@ -223,29 +223,24 @@ def _mst_edges(rows: list[list]) -> list[tuple]:
     return edges
 
 
-def _bad_pairs(rows: list[list]) -> list[tuple[int, int]]:
-    """Every pair (p, q), p < q, with d(p, q) above its subdominant distance.
+def _merges(rows: list[list]) -> Iterator[tuple]:
+    """The single-linkage merges along the tree edges, in increasing order.
 
-    Merging clusters along the tree edges in increasing order (single
-    linkage) joins each pair exactly once, at u(p, q), the largest edge on
-    its tree path: O(n**2) in total.
+    Yields (w, A, B): the edge weight, then the member lists of the larger
+    and the smaller cluster it joins, after which A absorbs B (so A[0] names
+    the cluster for good).  Each pair of points meets in exactly one step,
+    at u(p, q), the largest edge on its tree path: O(n**2) in total.
     """
     n = len(rows)
     members, root = [[i] for i in range(n)], list(range(n))
-    bad = []
     for w, a, b in sorted(_mst_edges(rows)):
-        ra, rb = root[a], root[b]
-        if len(members[ra]) < len(members[rb]):
-            ra, rb = rb, ra
-        for p in members[ra]:
-            row = rows[p]
-            for q in members[rb]:
-                if row[q] > w:
-                    bad.append((p, q) if p < q else (q, p))
-        for q in members[rb]:
-            root[q] = ra
-        members[ra] += members[rb]
-    return bad
+        A, B = members[root[a]], members[root[b]]
+        if len(A) < len(B):
+            A, B = B, A
+        yield w, A, B
+        for q in B:
+            root[q] = A[0]
+        A += B
 
 
 def validate(t: UltraTriple) -> ValidationReport:
@@ -262,12 +257,14 @@ def validate(t: UltraTriple) -> ValidationReport:
     largest ultrametric below d.  A violation therefore has
     d(p, q) > max(d(p, r), d(q, r)) >= max(u(p, r), u(q, r)) >= u(p, q),
     so only a bad pair, d(p, q) > u(p, q), can be its left-hand side, and
-    only bad pairs are scanned against every third point.  With repeated
+    only bad pairs are scanned against every third point.  The merge walk
+    `_merges` finds them: the pair meets at height u(p, q).  With repeated
     points only (p, p, r) can fail, when selfdist(p) > d(p, r).
     """
     rows = _rows(t)
     found: list[Violation] = []
-    for p, q in _bad_pairs(rows):
+    bad = ((p, q) if p < q else (q, p) for w, A, B in _merges(rows) for p in A for q in B if rows[p][q] > w)
+    for p, q in bad:
         P, Q = rows[p], rows[q]
         lhs = P[q]
         for r in range(t.n):

@@ -2,11 +2,11 @@
 
 For a valid triple, the sets that maximize perimeter within their own
 cardinality form a strong greedoid, and each cardinality level is the base
-collection of a matroid.  `bhargava_greedoid` builds a valid triple's
-system from the greedy module's set DAG, and an invalid one through the
-brute-force oracle.  The checkers here take arbitrary set systems, so
-hand-built counterexamples can be analyzed with the same tooling; every
-failed axiom comes with a re-checkable witness.
+collection of a matroid.  `bhargava_greedoid` reads a valid triple's
+system off its cluster tree, in the one merge walk `core._merges`, and
+builds an invalid one through the brute-force oracle.  The checkers here
+take arbitrary set systems, so hand-built counterexamples can be analyzed
+with the same tooling; every failed axiom comes with a re-checkable witness.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import chain
 
-from .core import UltraTriple, _Record, perimeter_set, projections, validate
+from .core import UltraTriple, _merges, _Record, _rows, perimeter_set, projections, validate
 
 AXIOMS = ("i", "ii", "iii", "iv", "matroid-exchange")
 
@@ -111,14 +111,14 @@ class AxiomReport(_Record):
 def bhargava_greedoid(t: UltraTriple, cap: int = 16) -> SetSystem:
     """All subsets of maximum perimeter within their cardinality.
 
-    On a valid triple, level k+1 is exactly the maximum-gain one-point
-    extensions of level k: every greedy prefix has maximum perimeter, and
-    by axiom (ii) every maximum set is a greedy prefix.  So the levels are
-    those of the greedy module's set DAG over all points, and the work
-    follows the output; members of one level that disagree on the maximum
-    gain raise RuntimeError.  An invalid triple goes to the brute-force
-    oracle instead, level by level.  `cap` bounds the ground size on both
-    paths.
+    On a valid triple the levels are read off the cluster tree: across a
+    merge at height D every cross distance is D, so a set with i points in
+    cluster A and j in B scores at most f(i) + g(j) + D*i*j, f and g being
+    the clusters' maximum perimeters by size.  Each cluster keeps {size:
+    (maximum perimeter, members)}, and a merge keeps every union over the
+    splits of each size that attain the maximum.  An invalid triple goes to
+    the brute-force oracle instead, level by level.  `cap` bounds the
+    ground size on both paths.
     """
     n = t.n
     if n > cap:
@@ -128,15 +128,19 @@ def bhargava_greedoid(t: UltraTriple, cap: int = 16) -> SetSystem:
 
         levels = (brute_max_perimeter(t, range(n), k, cap).argmax for k in range(n + 1))
         return SetSystem.from_point_sets(n, chain.from_iterable(levels))
-    from .greedy import _set_dag  # here: `greedoid --system` never runs greedy
-
-    levels, _ = _set_dag(t, range(n), n)
-    for k, nodes in enumerate(levels):
-        top = next(iter(nodes.values()))[0]
-        if any(best != top for best, _ in nodes.values()):
-            raise RuntimeError(f"members of size {k} disagree on the maximum gain")
-    # level n, the whole ground set, is the one level the DAG leaves implicit
-    return SetSystem(n, frozenset(chain(*levels, [(1 << n) - 1])))
+    best = {x: {0: (0, [0]), 1: (w, [1 << x])} for x, w in enumerate(t.weights)}
+    for D, A, B in _merges(_rows(t)):
+        f, g, h = best[A[0]], best.pop(B[0]), {}
+        for i, (fi, As) in f.items():
+            for j, (gj, Bs) in g.items():
+                per, top = fi + gj + D * i * j, h.get(i + j)
+                if top is None or per > top[0]:
+                    h[i + j] = top = per, []
+                if per == top[0]:
+                    top[1].extend(a | b for a in As for b in Bs)
+        best[A[0]] = h
+    tree = best.popitem()[1] if n else {0: (0, [0])}
+    return SetSystem(n, chain.from_iterable(members for _, members in tree.values()))
 
 
 def check_axiom_i(s: SetSystem) -> AxiomReport:

@@ -10,7 +10,7 @@ a greedy trace is independent of how ties were broken, which makes the
 The engine keeps its gains as integers over a common denominator (see
 `_scaled`); Fractions are made only for the values it returns.
 Tie enumeration and counting run the engine once per distinct set of picks,
-on the set DAG of `_set_dag`, which `greedoid.bhargava_greedoid` shares.
+on the set DAG of `_set_dag`.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ultragreedy import core
 from ultragreedy import (
     EquivHierarchy,
     FullUltraTriple,
@@ -235,6 +236,26 @@ class TestValidateScaling:
         assert len(report.violations) == 3 * 298
         assert {v.points for v in report.violations} == want
         assert all(v.lhs == 5 and v.rhs < 5 for v in report.violations)
+
+
+class TestMerges:
+    """The single-linkage walk that `validate` and the greedoid's tree build share."""
+
+    def test_each_pair_meets_once_at_the_merge_height(self):
+        rng = random.Random(2718)
+        triples = [random_ultra_triple(seed, rng.randint(1, 14), rng.randint(1, 4)) for seed in range(60)]
+        triples += [padic_triple(range(13), 3), padic_log_triple(range(12), 2), TestValidateScaling.hierarchy()]
+        triples += [constant_triple(n) for n in (0, 1, 2, 9)]
+        for t in triples:
+            assert validate(t).ok
+            met = []
+            for w, A, B in core._merges(core._rows(t)):
+                assert len(A) >= len(B) >= 1 and not set(A) & set(B)
+                for p in A:
+                    for q in B:
+                        assert t.d(p, q) == w, (t, p, q)
+                        met.append(frozenset((p, q)))
+            assert len(met) == len(set(met)) == t.n * (t.n - 1) // 2
 
 
 class TestPerimeterSet:

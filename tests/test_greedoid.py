@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,6 @@ from ultragreedy import (
     AxiomReport,
     SetSystem,
     UltraTriple,
-    ValidationReport,
     all_greedy_permutations,
     bhargava_greedoid,
     brute_max_perimeter,
@@ -20,6 +20,7 @@ from ultragreedy import (
     check_matroid_bases,
     constant_triple,
     exchange_element,
+    extend_to_full,
     greedy_permutation,
     level_sets,
     mask_from_points,
@@ -31,7 +32,7 @@ from ultragreedy import (
     strong_exchange_pair,
     validate,
 )
-from ultragreedy import greedoid
+from ultragreedy import greedy as greedy_module
 from ultragreedy.cli import read_instance, read_set_system
 
 F = Fraction
@@ -136,6 +137,22 @@ class TestAxiomReport:
             AxiomReport("v", True, None)
 
 
+def _tree_sweep():
+    """Valid triples of every shape the tree build meets: random hierarchies
+    at depths 1-4, p-adic and p-adic-log tables, constant tables with and
+    without ties in the weights, and full triples."""
+    rng = random.Random(4099)
+    plain = [random_ultra_triple(seed, rng.randint(1, 12), rng.randint(1, 4)) for seed in range(200)]
+    for n in (11, 12):
+        for p in (2, 3, 5):
+            plain.append(padic_triple(range(n), p, [F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n)]))
+            plain.append(padic_log_triple(range(n), p))
+    for n in range(10):
+        plain += [constant_triple(n), constant_triple(n, [rng.randint(0, 2) for _ in range(n)])]
+    full = [extend_to_full(t, min(chain.from_iterable(t.dist), default=0)) for t in plain[:60]]
+    return plain + full
+
+
 class TestBhargavaGreedoid:
     def test_parity5_membership(self, parity5, parity5_system):
         s = parity5_system
@@ -169,15 +186,16 @@ class TestBhargavaGreedoid:
             bhargava_greedoid(parity5, cap=4)
 
     def test_levels_match_brute_argmax(self, parity5):
-        # valid triples take the greedy closure, invalid ones the oracle;
-        # the closure is wrong on about half of the invalid ones, so every
-        # level is compared with the brute-force argmax on both sides
+        # valid triples take the tree build, invalid ones the oracle; the
+        # tree build is wrong on most of the invalid ones, so every level is
+        # compared with the brute-force argmax on both sides
         rng = random.Random(1905)
         valid = [parity5] + [random_ultra_triple(seed, rng.randint(1, 9)) for seed in range(12)]
         valid += [padic_triple(range(n), p, [F(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(n)])
                   for n, p in ((6, 2), (8, 3), (10, 2))]
         valid += [constant_triple(n, [rng.randint(0, 1) for _ in range(n)]) for n in (5, 7, 9)]
         valid += [padic_log_triple(range(n), p) for n, p in ((7, 2), (10, 3))]
+        valid += [t for t in _tree_sweep() if t.n <= 10]
         assert all(validate(t).ok for t in valid)
         invalid = []
         while len(invalid) < 24:
@@ -194,16 +212,6 @@ class TestBhargavaGreedoid:
                 want = {mask_from_points(a) for a in brute_max_perimeter(t, t.points(), k).argmax}
                 assert set(level_sets(s, k).sets) == want
 
-    def test_disagreeing_level_raises(self, monkeypatch):
-        # an invalid triple let past the validity check: the level-1 sets {a}
-        # and {b} extend with gains 5 (c) and 1 (a or c), so the DAG's levels
-        # are not greedoid levels
-        t = UltraTriple(("a", "b", "c"), (F(1), F(1), F(0)), ((), (F(0),), (F(5), F(1))))
-        assert not validate(t).ok
-        monkeypatch.setattr(greedoid, "validate", lambda t: ValidationReport(True, ()))
-        with pytest.raises(RuntimeError, match="^members of size 1 disagree on the maximum gain$"):
-            bhargava_greedoid(t)
-
     def test_beyond_brute_reach(self):
         # 2**16 subsets: the level sizes (7,586 members in all) are the
         # brute-force counts, and each level's perimeter is the greedy prefix's
@@ -216,6 +224,25 @@ class TestBhargavaGreedoid:
             members = level_sets(s, k).members()
             assert perimeter_set(t, points_from_mask(members[0])) == per
             assert perimeter_set(t, points_from_mask(members[-1])) == per
+
+
+class TestTreeBuild:
+    """The cluster-tree build of `bhargava_greedoid` against the greedy set
+    DAG, which shares none of its code (`test_levels_match_brute_argmax`
+    holds it to the brute-force argmax on the same sweep at n <= 10)."""
+
+    def test_levels_are_the_greedy_set_dag(self):
+        for t in _tree_sweep():
+            assert validate(t).ok
+            levels, _ = greedy_module._set_dag(t, t.points(), t.n)
+            # the DAG leaves level n, the whole ground set, implicit
+            want = set(chain(*levels)) | {(1 << t.n) - 1}
+            assert bhargava_greedoid(t).sets == want, t
+
+    def test_every_subset_of_a_constant_triple(self):
+        s = bhargava_greedoid(constant_triple(16))
+        assert [len(level_sets(s, k)) for k in range(17)] == [comb(16, k) for k in range(17)]
+        assert len(s) == 65536
 
 
 class TestAxiomCheckers:
