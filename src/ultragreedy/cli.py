@@ -471,11 +471,15 @@ def parse_tree_file(path: str) -> WeightedTree:
         if parts[0] == "root":
             if len(parts) != 2:
                 raise InputError(f"{path}:{lineno}: root line needs exactly one vertex")
+            if root is not None:
+                raise InputError(f"{path}:{lineno}: duplicate 'root' directive")
             root = parts[1]
             note(root)
         elif parts[0] == "leaves":
             if len(parts) != 2:
                 raise InputError(f"{path}:{lineno}: leaves line needs a comma-separated list")
+            if leaves is not None:
+                raise InputError(f"{path}:{lineno}: duplicate 'leaves' directive")
             leaves = tuple(_split(parts[1]))
             for v in leaves:
                 note(v)

@@ -247,7 +247,7 @@ class WeightedTree(_Record):
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, Fraction], ...]
     root: str
-    leafset: tuple[str, ...] | None
+    leafset: tuple[str, ...]
 
     def __init__(
         self, vertices: Iterable, edges: Iterable[tuple], root: str, leafset: Iterable | None = None
@@ -301,38 +301,34 @@ class WeightedTree(_Record):
         self._set(vertices, tuple(checked), root, leafset)
 
 
-def _path_weights(t: WeightedTree, source: str) -> dict[str, Fraction]:
+def tree_triple(t: WeightedTree) -> UltraTriple:
+    """The triple on the leafset: w(x) is the path weight to the root, and
+    d(x,y), the x-y path weight minus both root paths, is -2 times the root
+    path of the vertex where x and y meet.  One walk, O(V + L**2), writes each
+    pair once, at that vertex, and the pairs meeting there share one value."""
     adj: dict[str, list[tuple[str, Fraction]]] = {v: [] for v in t.vertices}
     for u, v, wt in t.edges:
         adj[u].append((v, wt))
         adj[v].append((u, wt))
-    dist = {source: Fraction(0)}
-    stack = [source]
-    while stack:
-        x = stack.pop()
-        for y, wt in adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + wt
-                stack.append(y)
-    return dist
-
-
-def tree_triple(t: WeightedTree) -> UltraTriple:
-    """The triple on the leafset: w(x) is the path weight to the root and
-    d(x,y) is the path weight between x and y minus both root paths."""
-    assert t.leafset is not None
-    from_root = _path_weights(t, t.root)
-    from_leaf = {x: _path_weights(t, x) for x in t.leafset}
-    labels = t.leafset
-    weights = tuple(from_root[x] for x in labels)
-    dist = tuple(
-        tuple(
-            from_leaf[labels[i]][labels[j]] - from_root[labels[i]] - from_root[labels[j]]
-            for j in range(i)
-        )
-        for i in range(len(labels))
-    )
-    return UltraTriple(labels, weights, dist)
+    depth, kids, order = {t.root: Fraction(0)}, {}, [t.root]
+    for x in order:  # grows as it goes: each vertex after its parent
+        kids[x] = {y: depth[x] + wt for y, wt in adj[x] if y not in depth}
+        depth.update(kids[x])
+        order += kids[x]
+    dist: list[list] = [[None] * i for i in range(len(t.leafset))]
+    below = {x: [i] for i, x in enumerate(t.leafset)}  # the points at or under each vertex
+    for x in reversed(order):  # each vertex after its children
+        A, meet = below.get(x, []), -2 * depth[x]
+        for y in kids[x]:
+            B = below.pop(y)
+            for b in B:
+                for a in A:
+                    dist[max(a, b)][min(a, b)] = meet
+            if len(A) < len(B):  # the smaller list moves, each copy paid for by a pair
+                A, B = B, A
+            A += B
+        below[x] = A
+    return UltraTriple(t.leafset, tuple(depth[x] for x in t.leafset), dist)
 
 
 def extend_to_full(t: UltraTriple, N: int | str | Fraction) -> FullUltraTriple:

@@ -2,10 +2,10 @@
 
 For a valid triple, the sets that maximize perimeter within their own
 cardinality form a strong greedoid, and each cardinality level is the base
-collection of a matroid.  `bhargava_greedoid` reads a valid triple's
-system off its cluster tree, in the one merge walk `core._merges`, and
-builds an invalid one through the brute-force oracle.  The checkers here
-take arbitrary set systems, so hand-built counterexamples can be analyzed
+collection of a matroid.  `bhargava_greedoid` reads it off the cluster
+tree, in one merge walk `core._merges`, and asks the brute-force oracle
+when pairwise distances are not ultrametric.  The checkers here take
+arbitrary set systems, so hand-built counterexamples can be analyzed
 with the same tooling; every failed axiom comes with a re-checkable witness.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import chain
 
-from .core import UltraTriple, _merges, _Record, _rows, perimeter_set, projections, validate
+from .core import UltraTriple, _merges, _Record, _rows, perimeter_set, projections
 
 AXIOMS = ("i", "ii", "iii", "iv", "matroid-exchange")
 
@@ -111,25 +111,25 @@ class AxiomReport(_Record):
 def bhargava_greedoid(t: UltraTriple, cap: int = 16) -> SetSystem:
     """All subsets of maximum perimeter within their cardinality.
 
-    On a valid triple the levels are read off the cluster tree: across a
-    merge at height D every cross distance is D, so a set with i points in
+    The levels are read off the cluster tree: across a merge at height D
+    every cross distance of an ultrametric is D, so a set with i points in
     cluster A and j in B scores at most f(i) + g(j) + D*i*j, f and g being
     the clusters' maximum perimeters by size.  Each cluster keeps {size:
     (maximum perimeter, members)}, and a merge keeps every union over the
-    splits of each size that attain the maximum.  An invalid triple goes to
-    the brute-force oracle instead, level by level.  `cap` bounds the
-    ground size on both paths.
+    splits of each size that attain the maximum.  At a merge with a cross
+    distance above D (`validate`'s bad pair; self-distances are not read)
+    the brute-force oracle takes over, level by level.  `cap` bounds both.
     """
     n = t.n
     if n > cap:
         raise ValueError(f"ground size {n} exceeds cap {cap}")
-    if not validate(t).ok:
-        from .oracle import brute_max_perimeter
+    rows, best = _rows(t), {x: {0: (0, [0]), 1: (w, [1 << x])} for x, w in enumerate(t.weights)}
+    for D, A, B in _merges(rows):
+        if any(rows[p][q] > D for p in A for q in B):  # `validate`'s bad pair
+            from .oracle import brute_max_perimeter
 
-        levels = (brute_max_perimeter(t, range(n), k, cap).argmax for k in range(n + 1))
-        return SetSystem.from_point_sets(n, chain.from_iterable(levels))
-    best = {x: {0: (0, [0]), 1: (w, [1 << x])} for x, w in enumerate(t.weights)}
-    for D, A, B in _merges(_rows(t)):
+            levels = (brute_max_perimeter(t, range(n), k, cap).argmax for k in range(n + 1))
+            return SetSystem.from_point_sets(n, chain.from_iterable(levels))
         f, g, h = best[A[0]], best.pop(B[0]), {}
         for i, (fi, As) in f.items():
             for j, (gj, Bs) in g.items():

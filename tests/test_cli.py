@@ -435,6 +435,22 @@ class TestTreeCommand:
         code, _, _ = run(capsys, "tree", str(tree))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        ("text", "lineno", "directive"),
+        [
+            ("root r\nroot a\nr a 1\nr b 2\n", 2, "root"),
+            ("root r\nleaves a\nr a 1\nr b 2\nleaves b\n", 5, "leaves"),
+        ],
+        ids=["root", "leaves"],
+    )
+    def test_duplicate_directive(self, capsys, tmp_path, text, lineno, directive):
+        # a second line used to win silently: w(a) = 0 and w(b) = 3 under `root a`
+        tree = tmp_path / "t.txt"
+        tree.write_text(text)
+        code, out, err = run(capsys, "tree", str(tree))
+        assert (code, out) == (2, "")
+        assert err == f"error: {tree}:{lineno}: duplicate '{directive}' directive\n"
+
     def test_leafset_directive(self, capsys, tmp_path):
         tree = tmp_path / "t.txt"
         tree.write_text("root r\nleaves a,b\nr a 1\na b 1\n")
@@ -974,8 +990,13 @@ def _fresh(value):
 
 
 def _star_tree(n):
-    # leaf i hangs from the root at weight i/7: n(n-1)/2 distinct distance objects
+    # leaf i hangs from the root at weight i/7: every pair meets at the root, one distance object
     return tree_triple(WeightedTree(["r"] + [f"v{i}" for i in range(n)], [("r", f"v{i}", Fraction(i, 7)) for i in range(n)], "r"))
+
+
+def _unshared(t):
+    """t with each distance its own object: n(n-1)/2 of them."""
+    return UltraTriple(t.labels, t.weights, [[_fresh(x) for x in row] for row in t.dist])
 
 
 def _peak(fn, *args):
@@ -1002,7 +1023,8 @@ _DOCUMENT_CASES = {
     "one-object-everywhere": FullUltraTriple("abc", [_X] * 3, [[], [_X], [_X, _X]], [_X] * 3),
     "empty": UltraTriple((), (), ()),
     "one-point": FullUltraTriple(("a",), (Fraction(5, 2),), ((),), (Fraction(-1),)),
-    "tree-unshared": _star_tree(40),
+    "tree": _star_tree(40),
+    "tree-unshared": _unshared(_star_tree(40)),
     "shifted-unshared": shift_distances(extend_to_full(padic_triple(range(30), 2), 0), Fraction(1, 3)),
 }
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -278,7 +279,76 @@ class TestBlockWriterSweep:
             assert _shares_one_object_per_level(t, same_class)
 
 
+def _path_weights(tree, source):
+    """The path weight from source to every vertex: the per-pair definition
+    `tree_triple` is held to takes one such walk per point."""
+    adj = {v: [] for v in tree.vertices}
+    for u, v, wt in tree.edges:
+        adj[u].append((v, wt))
+        adj[v].append((u, wt))
+    dist = {source: F(0)}
+    stack = [source]
+    while stack:
+        x = stack.pop()
+        for y, wt in adj[x]:
+            if y not in dist:
+                dist[y] = dist[x] + wt
+                stack.append(y)
+    return dist
+
+
+def _random_tree(rng):
+    """1-14 vertices, zero-weight edges, any root, and the default leafset
+    or a random one that may hold internal vertices and the root."""
+    names = [f"v{i}" for i in range(rng.randint(1, 14))]
+    rng.shuffle(names)
+    edges = []
+    for i in range(1, len(names)):
+        u, v, wt = names[rng.randrange(i)], names[i], F(rng.randint(0, 6), rng.randint(1, 3))
+        edges.append((u, v, wt) if rng.random() < 0.5 else (v, u, wt))
+    leafset = None if rng.random() < 0.5 else rng.sample(names, rng.randint(0, len(names)))
+    return WeightedTree(names, edges, rng.choice(names), leafset)
+
+
 class TestTree:
+    def test_matches_per_pair_path_weights(self):
+        rng = random.Random(2303)
+        for _ in range(3000):
+            tree = _random_tree(rng)
+            t = tree_triple(tree)
+            from_root = _path_weights(tree, tree.root)
+            assert t.labels == tree.leafset
+            assert t.weights == tuple(from_root[x] for x in tree.leafset)
+            for i, x in enumerate(tree.leafset):
+                from_x = _path_weights(tree, x)
+                assert t.dist[i] == tuple(from_x[y] - from_root[x] - from_root[y] for y in tree.leafset[:i])
+            assert validate(t).ok
+
+    def test_pairs_meeting_at_one_vertex_share_one_object(self):
+        edges = [("r", "a", 1), ("r", "b", 2), ("r", "c", 3), ("a", "x", 1), ("a", "y", 1), ("a", "z", 1)]
+        edges += [("b", "u", 1), ("b", "v", 1)]
+        t = tree_triple(WeightedTree("rabcxyzuv", edges, "r"))
+
+        def d(p, q):
+            return t.d(t.index_of(p), t.index_of(q))
+
+        assert d("x", "y") is d("x", "z") is d("y", "z") and d("x", "y") == F(-2)
+        assert d("u", "v") == F(-4)
+        at_root = [d(p, q) for p, q in combinations("cxyzuv", 2) if not {p, q} <= set("xyz") and {p, q} != {"u", "v"}]
+        assert len(at_root) == 11 and len({id(x) for x in at_root}) == 1 and at_root[0] == 0
+        assert len({id(x) for row in t.dist for x in row}) == 3
+
+    def test_long_path_builds_every_pair(self):
+        # one walk, not one per point, and no recursion: point j is v(100 j),
+        # where it meets every point below it, at root path 100 j
+        names = [f"v{i}" for i in range(20_000)]
+        tree = WeightedTree(names, [(a, b, F(1)) for a, b in zip(names, names[1:])], "v0", names[::100])
+        start = time.perf_counter()
+        t = tree_triple(tree)
+        assert time.perf_counter() - start < 5.0  # 0.19 s; one walk per point took 12.9 s
+        assert t.n == 200 and t.weights == tuple(F(100 * j) for j in range(200))
+        assert all(x == -200 * j for row in t.dist for j, x in enumerate(row))
+
     def test_two_leaf_star(self):
         tree = WeightedTree(("r", "x", "y"), (("x", "r", F(1)), ("y", "r", F(2))), "r")
         t = tree_triple(tree)

@@ -10,7 +10,10 @@ self-distance violations (b, b, a) and exits 1.  `planted5.system.json` is every
 of size <= 2 of five points plus two 3-sets sharing one point.  `escapes8` is a
 valid full triple whose labels need JSON escapes (a quote, a backslash, a
 newline, a tab, non-ASCII, U+2028 and a non-BMP emoji), so the `greedy`
-writer's escaping is pinned.  The `generate` cases cover every family, and
+writer's escaping is pinned.  `selfdist6` is a full triple that is ultrametric
+off the diagonal and fails only through one oversized self-distance, (d, d, r)
+for every r; no set perimeter reads a self-distance, so its greedoid is the
+cluster tree's.  The `generate` cases cover every family, and
 `tree7.txt` is a small weighted tree with fractional edge weights, so the
 instance writer behind `generate` and `tree` is pinned too.
 
@@ -72,6 +75,11 @@ def _cases() -> list[tuple[str, list[str]]]:
         ("escapes8.greedy", ["greedy", path]),
         ("escapes8.greedy-ties-all-m3", ["greedy", path, "--ties", "all", "--m", "3"]),
         ("escapes8.greedy-subseq", ["greedy", path, "--mode", "subseq"]),
+    ]
+    path = str(GOLDEN / "selfdist6.json")
+    cases += [
+        ("selfdist6.greedoid-sets", ["greedoid", path, "--emit", "sets"]),
+        ("selfdist6.greedoid-check", ["greedoid", path, "--emit", "check"]),
     ]
     cases.append(("planted5.greedoid-system", ["greedoid", "--system", str(GOLDEN / "planted5.system.json")]))
     cases += [(f"pordering-{name}", ["pordering", *argv]) for name, argv in PORDERING]

@@ -8,6 +8,7 @@ import pytest
 
 from ultragreedy import (
     AxiomReport,
+    FullUltraTriple,
     SetSystem,
     UltraTriple,
     all_greedy_permutations,
@@ -186,9 +187,9 @@ class TestBhargavaGreedoid:
             bhargava_greedoid(parity5, cap=4)
 
     def test_levels_match_brute_argmax(self, parity5):
-        # valid triples take the tree build, invalid ones the oracle; the
-        # tree build is wrong on most of the invalid ones, so every level is
-        # compared with the brute-force argmax on both sides
+        # triples ultrametric off the diagonal take the tree build, the rest
+        # the oracle; the tree build is wrong on most of the rest, so every
+        # level is compared with the brute-force argmax on both sides
         rng = random.Random(1905)
         valid = [parity5] + [random_ultra_triple(seed, rng.randint(1, 9)) for seed in range(12)]
         valid += [padic_triple(range(n), p, [F(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(n)])
@@ -205,7 +206,19 @@ class TestBhargavaGreedoid:
             t = UltraTriple(tuple(map(str, range(n))), weights, dist)
             if not validate(t).ok:
                 invalid.append(t)
-        for t in valid + invalid:
+        # full triples failing only at one oversized self-distance, (p, p, r)
+        # for every r: invalid, but the tree build's, as no perimeter reads it
+        selfdist_only = []
+        with_pairs = [t for t in valid if t.n > 1]
+        for t in with_pairs[1:13] + with_pairs[-6:]:
+            low, high = min(chain.from_iterable(t.dist)), max(chain.from_iterable(t.dist))
+            selfdist = [low] * t.n
+            selfdist[rng.randrange(t.n)] = high + 1
+            selfdist_only.append(FullUltraTriple(t.labels, t.weights, t.dist, selfdist))
+        for t in selfdist_only:
+            violations = validate(t).violations
+            assert violations and all(p == q for (p, q, _), _, _ in violations)
+        for t in valid + invalid + selfdist_only:
             s = bhargava_greedoid(t)
             assert s.ground == t.n
             for k in range(t.n + 1):

@@ -59,6 +59,8 @@ EXECUTED = [
     (["pordering", "--p", "2", "--points", "0,1,2,9,17"], 0, {"cli", "bhargava"}),
     (["pordering", "--p", "2", "--points", "0,1,2,9,17", "--check", "0,1,2"], 0, {"cli", "bhargava"}),
     (["greedoid", "padic6.json"], 0, {"cli", "core", "greedoid"}),
+    # invalid through one self-distance alone, which no set perimeter reads: no oracle
+    (["greedoid", "selfdist6.json"], 0, {"cli", "core", "greedoid"}),
     (["greedoid", "--system", "planted5.system.json"], 1, {"cli", "core", "greedoid"}),
 ]
 
