@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import count
 
 from .bhargava import _check_prime
 from .core import FullUltraTriple, UltraTriple, _Record, rational
@@ -51,11 +52,24 @@ def _triple_from_blocks(pts: Sequence[int], c0, levels, weights) -> UltraTriple:
 
 
 def _classes(pts: list[int], block: Iterable[int], q: int) -> list[list[int]]:
-    """The classes of block's points mod q that hold two or more of them."""
+    """The classes of block's points mod q (equal points for q = 0) that hold two or more of them."""
     classes: dict[int, list[int]] = {}
     for i in block:
-        classes.setdefault(pts[i] % q, []).append(i)
+        classes.setdefault(pts[i] % q if q else pts[i], []).append(i)
     return [c for c in classes.values() if len(c) > 1]
+
+
+def _chain_blocks(pts: list[int], moduli: Iterable[int]):
+    """Per modulus in turn, the blocks so far split into their classes mod it
+    that hold two or more points (increasing index lists), until none is left;
+    along a divisibility chain a pair stays together exactly through the
+    deepest modulus dividing its difference."""
+    blocks: list = [range(len(pts))]
+    for q in moduli:
+        blocks = [c for block in blocks for c in _classes(pts, block, q)]
+        if not blocks:
+            return
+        yield blocks
 
 
 def constant_triple(n: int, weights: Iterable | None = None) -> UltraTriple:
@@ -84,26 +98,15 @@ def mod_triple(
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError("m must be a positive integer")
     pts = _int_points(points)
-    return _triple_from_blocks(pts, alpha, [(eps, _classes(pts, range(len(pts)), m))], weights)
-
-
-def _residue_blocks(pts: list[int], p: int):
-    """(v, blocks) for v = 1, 2, ...: the classes of pts mod p**v that hold
-    two or more points, as increasing index lists, until every class is a
-    singleton.  A pair stays together exactly through level v_p(a - b)."""
-    q, v = p, 1
-    blocks = _classes(pts, range(len(pts)), q)
-    while blocks:
-        yield v, blocks
-        q, v = q * p, v + 1
-        blocks = [c for block in blocks for c in _classes(pts, block, q)]
+    return _triple_from_blocks(pts, alpha, zip([eps], _chain_blocks(pts, [m])), weights)
 
 
 def padic_triple(points: Iterable[int], p: int, weights: Iterable | None = None) -> UltraTriple:
     """Distance p**(-v_p(a-b)) between distinct integers a and b."""
     _check_prime(p)
     pts = _int_points(points)
-    levels = ((Fraction(1, p**v), blocks) for v, blocks in _residue_blocks(pts, p))
+    chain = enumerate(_chain_blocks(pts, (p**v for v in count(1))), 1)
+    levels = ((Fraction(1, p**v), blocks) for v, blocks in chain)
     return _triple_from_blocks(pts, Fraction(1), levels, weights)
 
 
@@ -111,7 +114,8 @@ def padic_log_triple(points: Iterable[int], p: int, weights: Iterable | None = N
     """Distance -v_p(a-b): the integer-valued logarithmic variant."""
     _check_prime(p)
     pts = _int_points(points)
-    levels = ((Fraction(-v), blocks) for v, blocks in _residue_blocks(pts, p))
+    chain = enumerate(_chain_blocks(pts, (p**v for v in count(1))), 1)
+    levels = ((Fraction(-v), blocks) for v, blocks in chain)
     return _triple_from_blocks(pts, Fraction(0), levels, weights)
 
 
@@ -132,7 +136,8 @@ def rseq_triple(
 
     r must be a divisibility chain r0 | r1 | r2 | ...; zeros may appear
     once the chain reaches 0 and divide nothing but 0.  c must be weakly
-    decreasing and long enough for every pairwise difference.
+    decreasing and long enough for every pairwise difference.  Rows come from
+    the classes mod r0, r1, ...; a bad pair raises at its place in row order.
     """
     rs = [x for x in r]
     if not rs:
@@ -148,21 +153,17 @@ def rseq_triple(
         if cs[i] < cs[i + 1]:
             raise ValueError("c must be weakly decreasing")
     pts = _int_points(points)
-
-    def pair_dist(a: int, b: int) -> Fraction:
-        diff = a - b
-        hits = [i for i, ri in enumerate(rs) if _divides(ri, diff)]
-        if not hits:
-            raise ValueError(f"no r entry divides {diff}; the valuation is undefined")
-        v = max(hits)
-        if v >= len(cs):
-            raise ValueError(f"c has {len(cs)} entries but the valuation reaches {v}")
-        return cs[v]
-
-    dist = tuple(
-        tuple(pair_dist(pts[i], pts[j]) for j in range(i)) for i in range(len(pts))
-    )
-    return UltraTriple(tuple(str(x) for x in pts), _weights(len(pts), weights), dist)
+    n, L = len(pts), len(cs)
+    chain = list(_chain_blocks(pts, rs[: L + 1]))  # the blocks mod r0, ..., r_L
+    # the first bad pair in row order: (i0, 0), or (i, j), the first two points of a block mod r_L
+    i0 = next((i for i in range(1, n) if not _divides(rs[0], pts[i] - pts[0])), n)
+    j, i = min(chain[L], key=lambda block: block[1])[:2] if len(chain) > L else (0, n)
+    if i0 < n and i0 <= i:
+        raise ValueError(f"no r entry divides {pts[i0] - pts[0]}; the valuation is undefined")
+    if i < n:
+        v = L + sum(1 for _ in _chain_blocks([pts[j], pts[i]], rs[L + 1:]))
+        raise ValueError(f"c has {L} entries but the valuation reaches {v}")
+    return _triple_from_blocks(pts, cs[0] if cs else None, zip(cs[1:], chain[1:]), weights)
 
 
 class EquivHierarchy(_Record):
@@ -328,6 +329,8 @@ def tree_triple(t: WeightedTree) -> UltraTriple:
                 A, B = B, A
             A += B
         below[x] = A
+    for a, row in enumerate(dist):  # in place: never a second full table in memory
+        dist[a] = tuple(row)
     return UltraTriple(t.leafset, tuple(depth[x] for x in t.leafset), dist)
 
 

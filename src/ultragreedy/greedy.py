@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .core import FullUltraTriple, UltraTriple, _Record, _subset
 
@@ -308,24 +309,20 @@ def clone_triple(t: FullUltraTriple, N: int) -> FullUltraTriple:
 
     Copy i of point e sits at index e*N + (i-1) with label "<label>#i";
     weights and all distances, self-distances included, ignore the copy
-    index.  Greedy m-subsequences of a subset correspond to greedy
-    m-permutations over its copies whenever N >= m.
+    index: its row repeats d(e, f) for the N copies of each f < e, then
+    selfdist(e) for the i - 1 copies of e before it.  Greedy m-subsequences
+    of a subset correspond to greedy m-permutations over its copies whenever
+    N >= m.
     """
     if not isinstance(N, int) or isinstance(N, bool) or N < 1:
         raise ValueError("N must be a positive integer")
-    labels: list[str] = []
-    weights: list[Fraction] = []
-    selfdist: list[Fraction] = []
-    for e in t.points():
-        for i in range(1, N + 1):
-            labels.append(f"{t.labels[e]}#{i}")
-            weights.append(t.weights[e])
-            selfdist.append(t.selfdist[e])
-    dist: list[tuple[Fraction, ...]] = []
-    for a in range(t.n * N):
-        row = tuple(t.d(a // N, b // N) for b in range(a))
-        dist.append(row)
-    return FullUltraTriple(tuple(labels), tuple(weights), tuple(dist), tuple(selfdist))
+
+    def copies(xs: Iterable[Fraction]) -> tuple[Fraction, ...]:
+        return tuple(chain.from_iterable(map(repeat, xs, repeat(N))))  # each entry N times over, in order
+
+    labels = [f"{x}#{i}" for x in t.labels for i in range(1, N + 1)]
+    dist = [row + (s,) * i for row, s in zip(map(copies, t.dist), t.selfdist) for i in range(N)]
+    return FullUltraTriple(labels, copies(t.weights), dist, copies(t.selfdist))
 
 
 def nu_bar_inequality_check(

@@ -76,6 +76,14 @@ CASES = [
         cli("generate", "--family", "rseq", "--points", "0,1", "--r", "1,2"),
         InputError, "--family rseq needs --points, --r, --c", id="generate-rseq",
     ),
+    pytest.param(
+        cli("generate", "--family", "rseq", "--points=0,2,-1", "--r", "2,4", "--c", "1,1"),
+        ValueError, "no r entry divides -1; the valuation is undefined", id="generate-rseq-no-divisor",
+    ),
+    pytest.param(
+        cli("generate", "--family", "rseq", "--points", "0,8,1", "--r", "2,4,8", "--c", "2,1"),
+        ValueError, "c has 2 entries but the valuation reaches 2", id="generate-rseq-short-c",
+    ),
     pytest.param(cli("generate", "--family", "random"), InputError, "--family random needs --n", id="generate-random"),
     pytest.param(
         cli("tree", "{file}", file="root\nr a 1\n"), InputError, ":1: root line needs exactly one vertex", id="tree-root-line",
@@ -104,6 +112,19 @@ CASES = [
     pytest.param(lambda: constant_triple(-1), ValueError, "n must be nonnegative", id="constant-negative-n"),
     pytest.param(lambda: rseq_triple([0, 1], [], [1]), ValueError, "r must be nonempty", id="rseq-empty-r"),
     pytest.param(lambda: rseq_triple([0, 1], [1, 2.0], [1, 0]), TypeError, "r entries must be integers, got 2.0", id="rseq-float-r"),
+    pytest.param(
+        lambda: rseq_triple([0, 2, -1], [2, 4], [1, 1]),
+        ValueError, "no r entry divides -1; the valuation is undefined", id="rseq-no-divisor",
+    ),
+    pytest.param(
+        # pair (1, 0) has valuation 2 and comes before (2, 0), which no r entry divides
+        lambda: rseq_triple([0, 8, 1], [2, 4, 8], [2, 1]),
+        ValueError, "c has 2 entries but the valuation reaches 2", id="rseq-short-c-first",
+    ),
+    pytest.param(
+        lambda: rseq_triple([0, 1, 8], [2, 4, 8], [2, 1]),
+        ValueError, "no r entry divides 1; the valuation is undefined", id="rseq-no-divisor-first",
+    ),
     pytest.param(lambda: padic_triple([0, True], 2), TypeError, "points must be integers, got True", id="padic-bool-point"),
     pytest.param(lambda: EquivHierarchy([], []), ValueError, "need at least the trivial level", id="hierarchy-no-levels"),
     pytest.param(

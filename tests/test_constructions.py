@@ -1,5 +1,7 @@
 import random
 import time
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -133,6 +135,75 @@ class TestRseq:
             rseq_triple([0, 4], [1, 2, 4], [F(2), F(1)], None)
 
 
+def _rseq_level(r, diff):
+    """The deepest index of r whose entry divides diff (0 divides only 0), or None."""
+    hits = [i for i, ri in enumerate(r) if (diff == 0 if ri == 0 else diff % ri == 0)]
+    return max(hits) if hits else None
+
+
+def _rseq_reference(pts, r, c):
+    """rseq_triple's table by its per-pair definition, raising at the first
+    offending pair in row order."""
+
+    def pair_dist(diff):
+        v = _rseq_level(r, diff)
+        if v is None:
+            raise ValueError(f"no r entry divides {diff}; the valuation is undefined")
+        if v >= len(c):
+            raise ValueError(f"c has {len(c)} entries but the valuation reaches {v}")
+        return c[v]
+
+    return tuple(tuple(pair_dist(pts[i] - pts[j]) for j in range(i)) for i in range(len(pts)))
+
+
+def _outcome(build, *args):
+    """The distance table build(*args) gives, or "<type>: <message>" of what it raises."""
+    try:
+        t = build(*args)
+    except (ValueError, TypeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return t if isinstance(t, tuple) else t.dist
+
+
+def _random_rseq_case(rng):
+    """0-9 points in -40..40 and a divisibility chain of 1-6 entries, with
+    negative, repeated and zero entries; c weakly decreasing, empty or
+    shorter than the deepest valuation."""
+    pts = rng.sample(range(-40, 41), rng.randint(0, 9))
+    r = [rng.choice((1, -1, 2, -2, 3, 4, -6, 0))]
+    for _ in range(rng.randint(0, 5)):
+        r.append(r[-1] * rng.choice((1, -1, 2, -2, 3, 0)))
+    c = sorted((F(rng.randint(-4, 9), rng.randint(1, 3)) for _ in range(rng.randint(0, len(r) + 1))), reverse=True)
+    return pts, r, c
+
+
+class TestRseqSweep:
+    """rseq_triple against its per-pair definition (the other residue-class families
+    meet it in TestBlockWriterSweep)."""
+
+    def test_matches_per_pair_reference(self):
+        rng = random.Random(2404)
+        seen: Counter = Counter()
+        for _ in range(12_000):
+            pts, r, c = _random_rseq_case(rng)
+            want = _outcome(_rseq_reference, pts, r, c)
+            assert _outcome(rseq_triple, pts, r, c) == want, (pts, r, c)
+            levels = [_rseq_level(r, a - b) for a, b in combinations(pts, 2)]
+            both = None in levels and any(v is not None and v >= len(c) for v in levels)
+            seen[want.split()[1] if isinstance(want, str) else "table", both] += 1
+        # tables, both messages, and inputs with both faults, each message winning some
+        assert seen["table", False] > 2000
+        assert min(seen["no", False], seen["c", False]) > 500
+        assert min(seen["no", True], seen["c", True]) > 200
+
+    def test_large_chain_builds_in_time(self):
+        r, c = [2**v for v in range(11)], [F(1, 2**v) for v in range(11)]
+        start = time.perf_counter()
+        t = rseq_triple(range(2000), r, c)
+        assert time.perf_counter() - start < 2.0  # 0.17 s; the per-pair loop took 5.7 s
+        assert t.dist == padic_triple(range(2000), 2).dist
+
+
 class TestEqrel:
     def test_two_level_constant(self):
         h = EquivHierarchy(
@@ -224,7 +295,8 @@ def _shares_one_object_per_level(t, level_of) -> bool:
 
 
 class TestBlockWriterSweep:
-    """Each block-written constructor against its per-pair definition."""
+    """Each block-written constructor against its per-pair definition, and the
+    residue-class families against rseq_triple's too."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_eqrel_matches_level_scan(self, seed):
@@ -259,6 +331,10 @@ class TestBlockWriterSweep:
             assert all(type(x) is Fraction for row in t.dist + tlog.dist for x in row)
             assert _shares_one_object_per_level(t, level)
             assert _shares_one_object_per_level(tlog, level)
+            depth = (max(pts) - min(pts)).bit_length() + 1 if pts else 1  # p**(depth - 1) exceeds every difference
+            r = [p**v for v in range(depth)]
+            assert t.dist == _rseq_reference(pts, r, [Fraction(1, q) for q in r])
+            assert tlog.dist == _rseq_reference(pts, r, [Fraction(-v) for v in range(depth)])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_mod_matches_residue_test(self, seed):
@@ -277,6 +353,7 @@ class TestBlockWriterSweep:
                 t.dist[a][b] == (eps if same_class(a, b) else alpha) for a in range(len(pts)) for b in range(a)
             )
             assert _shares_one_object_per_level(t, same_class)
+            assert t.dist == _rseq_reference(pts, [1, m], [alpha, eps])
 
 
 def _path_weights(tree, source):
@@ -348,6 +425,23 @@ class TestTree:
         assert time.perf_counter() - start < 5.0  # 0.19 s; one walk per point took 12.9 s
         assert t.n == 200 and t.weights == tuple(F(100 * j) for j in range(200))
         assert all(x == -200 * j for row in t.dist for j, x in enumerate(row))
+
+    def test_peak_memory_one_table(self):
+        # a random 1,000-vertex tree with 500 points: its rows become tuples
+        # in place, so no second full table is ever alive
+        rng = random.Random(5)
+        names = [f"v{i}" for i in range(1000)]
+        edges = [(names[rng.randrange(i)], names[i], F(rng.randint(0, 9), rng.randint(1, 3))) for i in range(1, 1000)]
+        tree = WeightedTree(names, edges, "v0")
+        tree_triple(WeightedTree("rab", [("r", "a", 1), ("r", "b", 2)], "r"))  # modules loaded before the measured call
+        tracemalloc.start()
+        try:
+            t = tree_triple(tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.n == 500
+        assert peak < 2 * 2**20  # 1.49 MiB; 2.47 MiB when the list rows were copied to tuples whole
 
     def test_two_leaf_star(self):
         tree = WeightedTree(("r", "x", "y"), (("x", "r", F(1)), ("y", "r", F(2))), "r")

@@ -52,6 +52,7 @@ GENERATE = (
     ("padic", ["--family", "padic", "--points", "0,1,2,3,4,5,6,7,8,12,16", "--p", "2"]),
     ("padic-log", ["--family", "padic-log", "--points=-3,0,1,3,9,27,30", "--p", "3", "--weights", "1,2,3,4,5,6,-1/7"]),
     ("rseq", ["--family", "rseq", "--points", "0,1,2,3,4,6,8,12", "--r", "1,2,4", "--c", "3,2,1/2"]),
+    ("rseq-negative-r0", ["--family", "rseq", "--points=-6,-2,0,4,8,12", "--r=-2,4,0", "--c", "3,2"]),
     ("random-seed7", ["--family", "random", "--n", "7", "--seed", "7"]),
 )
 

@@ -355,7 +355,26 @@ class TestNu:
             nu(parity5_full, [], 1)
 
 
+def _clone_reference(t, N):
+    """clone_triple by its per-pair definition: copy a of the clone is a copy of point a // N."""
+    copies = [(e, i) for e in t.points() for i in range(1, N + 1)]
+    return FullUltraTriple(
+        [f"{t.labels[e]}#{i}" for e, i in copies],
+        [t.weights[e] for e, _ in copies],
+        [[t.d(a // N, b // N) for b in range(a)] for a in range(t.n * N)],
+        [t.selfdist[e] for e, _ in copies],
+    )
+
+
 class TestCloneTriple:
+    def test_matches_per_pair_reference(self):
+        rng = random.Random(2406)
+        for _ in range(500):
+            base = random_ultra_triple(rng.randrange(10**6), rng.randint(1, 8))
+            t = FullUltraTriple(base.labels, base.weights, base.dist, [Fraction(rng.randint(-3, 3), 2) for _ in base.points()])
+            N = rng.randint(1, 5)
+            assert clone_triple(t, N) == _clone_reference(t, N)
+
     def test_single_copy_is_isomorphic(self, parity5_full):
         c = clone_triple(parity5_full, 1)
         assert c.weights == parity5_full.weights
