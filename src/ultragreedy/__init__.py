@@ -34,7 +34,7 @@ _HOMES = {  # exported name -> the module that defines it
     "check_axiom_iv": "greedoid",
     "check_equivalence": "bhargava",
     "check_matroid_bases": "greedoid",
-    "clone_triple": "greedy",
+    "clone_triple": "constructions",
     "constant_triple": "constructions",
     "count_greedy_permutations": "greedy",
     "eqrel_triple": "constructions",
@@ -60,7 +60,7 @@ _HOMES = {  # exported name -> the module that defines it
     "pm_ordering": "bhargava",
     "points_from_mask": "greedoid",
     "projections": "core",
-    "random_ultra_triple": "oracle",
+    "random_ultra_triple": "constructions",
     "rational": "core",
     "rseq_triple": "constructions",
     "shift_distances": "constructions",

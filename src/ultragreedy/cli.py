@@ -157,21 +157,23 @@ def _read_text(path: str) -> str:
         raise InputError(f"{path} is not valid UTF-8: {exc}") from None
 
 
-def _load_json(path: str, decode: Callable[[str], object] = json.loads) -> object:
+def _load_json(path: str, decode: Callable[[str], object] = json.loads) -> dict:
+    """The JSON object in the file at path: instances and set systems are objects."""
     try:
-        return decode(_read_text(path))
+        doc = decode(_read_text(path))
     except (ValueError, RecursionError) as exc:
         # ValueError covers malformed JSON and, outside `main`, integers
         # longer than the int/str digit limit; RecursionError deep nesting
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: top level must be an object")
+    return doc
 
 
 def read_instance(path: str) -> core.UltraTriple:
     # core is loaded before the document exists, not while it is alive
     plain, full = core.UltraTriple, core.FullUltraTriple
     doc = _load_json(path, _decode)
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: top level must be an object")
     memo: dict[str, Fraction] = {}
 
     def rat(x: object, what: str) -> Fraction:
@@ -244,8 +246,6 @@ def instance_document(t: core.UltraTriple) -> dict:
 def read_set_system(path: str, cap: int) -> greedoid.SetSystem:
     system = greedoid.SetSystem  # loaded before the document exists
     doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: top level must be an object")
     try:
         ground = doc["ground"]
         if not isinstance(ground, int) or isinstance(ground, bool):
@@ -410,47 +410,33 @@ def cmd_greedoid(args: argparse.Namespace) -> tuple[str, int]:
     return json.dumps(doc, indent=2), 0 if ok else 1
 
 
+# family -> its `constructions` builder, whose parameters the options name, the
+# options it needs, in the order its error names them, and those with defaults
+_FAMILIES = {
+    "constant": ("constant_triple", ("n",), ()),
+    "mod": ("mod_triple", ("points", "m", "eps", "alpha"), ()),
+    "padic": ("padic_triple", ("points", "p"), ()),
+    "padic-log": ("padic_log_triple", ("points", "p"), ()),
+    "rseq": ("rseq_triple", ("points", "r", "c"), ()),
+    "random": ("random_ultra_triple", ("n",), ("seed", "depth")),
+}
+_OPTION_PARSERS = {"points": _int_list, "r": _int_list, "c": _rational_list, "eps": _rational, "alpha": _rational}
+
+
 def cmd_generate(args: argparse.Namespace) -> tuple[str, int]:
-    from .constructions import constant_triple, mod_triple, padic_log_triple, padic_triple, rseq_triple
+    from . import constructions
 
-    family = args.family
-    weights = None
-    if args.weights is not None:
-        weights = _rational_list(args.weights, "--weights")
-    if family == "constant":
-        if args.n is None:
-            raise InputError("--family constant needs --n")
-        t = constant_triple(args.n, weights)
-    elif family == "mod":
-        if args.points is None or args.m is None or args.eps is None or args.alpha is None:
-            raise InputError("--family mod needs --points, --m, --eps, --alpha")
-        t = mod_triple(
-            _int_list(args.points, "--points"),
-            args.m,
-            _rational(args.eps, "--eps"),
-            _rational(args.alpha, "--alpha"),
-            weights,
-        )
-    elif family in ("padic", "padic-log"):
-        if args.points is None or args.p is None:
-            raise InputError(f"--family {family} needs --points and --p")
-        build = padic_triple if family == "padic" else padic_log_triple
-        t = build(_int_list(args.points, "--points"), args.p, weights)
-    elif family == "rseq":
-        if args.points is None or args.r is None or args.c is None:
-            raise InputError("--family rseq needs --points, --r, --c")
-        t = rseq_triple(
-            _int_list(args.points, "--points"),
-            _int_list(args.r, "--r"),
-            _rational_list(args.c, "--c"),
-            weights,
-        )
-    else:  # random
-        from .oracle import random_ultra_triple
-
-        if args.n is None:
-            raise InputError("--family random needs --n")
-        t = random_ultra_triple(args.seed, args.n, args.depth)
+    builder, needs, defaulted = _FAMILIES[args.family]
+    weights = None if args.weights is None else _rational_list(args.weights, "--weights")
+    if any(getattr(args, name) is None for name in needs):
+        flags = [f"--{name}" for name in needs]
+        raise InputError(f"--family {args.family} needs " + (" and " if len(flags) == 2 else ", ").join(flags))
+    options = {}
+    for name in needs + defaulted:  # parsed in the builder's order: its first error is reported
+        value = getattr(args, name)
+        parse = _OPTION_PARSERS.get(name)
+        options[name] = value if parse is None else parse(value, f"--{name}")
+    t = getattr(constructions, builder)(**options, weights=weights)
     return json.dumps(instance_document(t), indent=2), 0
 
 

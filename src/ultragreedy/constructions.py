@@ -1,18 +1,20 @@
-"""Builders for standard families of (full) ultra triples.
+"""Builders for standard families of (full) ultra triples, random ones
+included: every triple builder of the package lives here.
 
 Each constructor guarantees the ultrametric inequality by the shape of its
 formula, so `validate` passes on every output (property-tested, not
-re-checked at build time).  Also provides the tree-to-triple bridge and the
-two transforms between plain and full triples.
+re-checked at build time); each family constructor takes `weights`.  Also
+provides the tree-to-triple bridge, the two transforms between plain and
+full triples, and the N-clone transform of the tuple analogue.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count, repeat
 
-from .bhargava import _check_prime
+from .bhargava import _check_prime, _pool
 from .core import FullUltraTriple, UltraTriple, _Record, rational
 
 
@@ -23,10 +25,7 @@ def _weights(n: int, weights: Iterable[int | str | Fraction] | None) -> Iterable
 
 def _int_points(points: Iterable[int]) -> list[int]:
     pts = list(points)
-    for x in pts:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise TypeError(f"points must be integers, got {x!r}")
-    if len(set(pts)) != len(pts):
+    if len(_pool(pts)) != len(pts):  # _pool checks each point is an int
         raise ValueError("points must be distinct")
     return pts
 
@@ -240,6 +239,48 @@ def eqrel_triple(h: EquivHierarchy, weights: Iterable | None = None) -> UltraTri
     return _triple_from_blocks(range(n), h.c[0] if n > 1 else None, levels, weights)
 
 
+def random_ultra_triple(seed: int, n: int, depth: int = 3, weights: Iterable | None = None) -> UltraTriple:
+    """A random valid triple, deterministic in the seed.
+
+    Draws a random refinement chain of partitions with weakly decreasing
+    per-level distances; validity is then automatic.  Small value ranges
+    keep ties frequent, which the tie-sensitive greedy properties need.
+    The weights are drawn last, so given weights replace them and leave the
+    distances of the seed as they are.
+    """
+    import random  # here: no other builder loads it
+
+    if not 1 <= n <= 16:
+        raise ValueError(f"n={n} must be between 1 and 16")
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    rng = random.Random(seed)
+    levels: list[list[list[int]]] = [[list(range(n))]]
+    for _ in range(depth - 1):
+        prev = levels[-1]
+        nxt: list[list[int]] = []
+        for block in prev:
+            if len(block) == 1:
+                nxt.append(block)
+                continue
+            parts = rng.randint(1, len(block))
+            buckets: dict[int, list[int]] = {}
+            for e in block:
+                buckets.setdefault(rng.randrange(parts), []).append(e)
+            nxt.extend(sorted(buckets.values(), key=lambda b: b[0]))
+        levels.append(nxt)
+    levels.append([[e] for e in range(n)])  # force separation of every pair
+    c: list[Fraction] = []
+    value = Fraction(rng.randint(-2, 8), rng.choice((1, 1, 2)))
+    for _ in range(max(1, len(levels) - 1)):
+        c.append(value)
+        value -= Fraction(rng.choice((0, 0, 1, 2)), rng.choice((1, 2)))
+    if weights is None:
+        weights = tuple(Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2))) for _ in range(n))
+    h = EquivHierarchy(tuple(tuple(map(frozenset, lv)) for lv in levels), tuple(c))
+    return eqrel_triple(h, weights)
+
+
 class WeightedTree(_Record):
     """An undirected tree with nonnegative edge weights, a root, and a
     designated point set (the leafset, degree-<=1 vertices by default)."""
@@ -357,3 +398,24 @@ def shift_distances(t: FullUltraTriple, R: int | str | Fraction) -> FullUltraTri
     R = rational(R)
     dist = tuple(tuple(x + R for x in row) for row in t.dist)
     return FullUltraTriple(t.labels, t.weights, dist, t.selfdist)
+
+
+def clone_triple(t: FullUltraTriple, N: int) -> FullUltraTriple:
+    """Replace each point by N interchangeable copies.
+
+    Copy i of point e sits at index e*N + (i-1) with label "<label>#i";
+    weights and all distances, self-distances included, ignore the copy
+    index: its row repeats d(e, f) for the N copies of each f < e, then
+    selfdist(e) for the i - 1 copies of e before it.  Greedy m-subsequences
+    of a subset correspond to greedy m-permutations over its copies whenever
+    N >= m.
+    """
+    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
+        raise ValueError("N must be a positive integer")
+
+    def copies(xs: Iterable[Fraction]) -> tuple[Fraction, ...]:
+        return tuple(chain.from_iterable(map(repeat, xs, repeat(N))))  # each entry N times over, in order
+
+    labels = [f"{x}#{i}" for x in t.labels for i in range(1, N + 1)]
+    dist = [row + (s,) * i for row, s in zip(map(copies, t.dist), t.selfdist) for i in range(N)]
+    return FullUltraTriple(labels, copies(t.weights), dist, copies(t.selfdist))

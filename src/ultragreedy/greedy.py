@@ -3,8 +3,10 @@
 Two regimes share one engine: permutations pick distinct points of a subset
 C, each step maximizing the perimeter of the growing set; subsequences
 sample with replacement, so every point of C competes at every step and
-self-distances matter (full triples only).  The k-th perimeter increment of
-a greedy trace is independent of how ties were broken, which makes the
+self-distances matter (full triples only).  Greedy m-subsequences
+correspond to greedy m-permutations over N >= m copies of each point, built
+by `constructions.clone_triple`.  The k-th perimeter increment of a greedy
+trace is independent of how ties were broken, which makes the
 `nu_bar`/`nu` invariants well-defined.  Every answer is one engine run:
 `extend_greedy`'s one walk checks its prefix as it recomputes it.
 The engine keeps its gains as integers over a common denominator (see
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import chain, repeat
 
 from .core import FullUltraTriple, UltraTriple, _Record, _subset
 
@@ -302,27 +303,6 @@ def nu(t: FullUltraTriple, C: Iterable[int], k: int) -> Fraction:
     if k < 1:
         raise ValueError(f"k={k} must be at least 1")
     return greedy_subsequence(t, C, k).increments[k - 1]
-
-
-def clone_triple(t: FullUltraTriple, N: int) -> FullUltraTriple:
-    """Replace each point by N interchangeable copies.
-
-    Copy i of point e sits at index e*N + (i-1) with label "<label>#i";
-    weights and all distances, self-distances included, ignore the copy
-    index: its row repeats d(e, f) for the N copies of each f < e, then
-    selfdist(e) for the i - 1 copies of e before it.  Greedy m-subsequences
-    of a subset correspond to greedy m-permutations over its copies whenever
-    N >= m.
-    """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise ValueError("N must be a positive integer")
-
-    def copies(xs: Iterable[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(chain.from_iterable(map(repeat, xs, repeat(N))))  # each entry N times over, in order
-
-    labels = [f"{x}#{i}" for x in t.labels for i in range(1, N + 1)]
-    dist = [row + (s,) * i for row, s in zip(map(copies, t.dist), t.selfdist) for i in range(N)]
-    return FullUltraTriple(labels, copies(t.weights), dist, copies(t.selfdist))
 
 
 def nu_bar_inequality_check(

@@ -4,17 +4,16 @@ Everything here enumerates candidates outright and scores them with the
 core perimeter functions or raw distances only; none of the incremental
 bookkeeping of the greedy module, nor the spanning tree behind
 `core.validate`, is shared, so agreement between the two is evidence, not
-tautology.  Caps are hard errors, never silent truncation.
+tautology.  Caps are hard errors, never silent truncation.  No triple is
+built here: random instances come from `constructions.random_ultra_triple`.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from .constructions import EquivHierarchy, eqrel_triple
 from .core import (
     FullUltraTriple,
     UltraTriple,
@@ -133,40 +132,3 @@ def brute_all_greedy(
         if ok:
             accepted.append(arrangement)
     return tuple(sorted(accepted))
-
-
-def random_ultra_triple(seed: int, n: int, depth: int = 3) -> UltraTriple:
-    """A random valid triple, deterministic in the seed.
-
-    Draws a random refinement chain of partitions with weakly decreasing
-    per-level distances; validity is then automatic.  Small value ranges
-    keep ties frequent, which the tie-sensitive greedy properties need.
-    """
-    if not 1 <= n <= 16:
-        raise ValueError(f"n={n} must be between 1 and 16")
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    rng = random.Random(seed)
-    levels: list[list[list[int]]] = [[list(range(n))]]
-    for _ in range(depth - 1):
-        prev = levels[-1]
-        nxt: list[list[int]] = []
-        for block in prev:
-            if len(block) == 1:
-                nxt.append(block)
-                continue
-            parts = rng.randint(1, len(block))
-            buckets: dict[int, list[int]] = {}
-            for e in block:
-                buckets.setdefault(rng.randrange(parts), []).append(e)
-            nxt.extend(sorted(buckets.values(), key=lambda b: b[0]))
-        levels.append(nxt)
-    levels.append([[e] for e in range(n)])  # force separation of every pair
-    c: list[Fraction] = []
-    value = Fraction(rng.randint(-2, 8), rng.choice((1, 1, 2)))
-    for _ in range(max(1, len(levels) - 1)):
-        c.append(value)
-        value -= Fraction(rng.choice((0, 0, 1, 2)), rng.choice((1, 2)))
-    weights = tuple(Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2))) for _ in range(n))
-    h = EquivHierarchy(tuple(tuple(map(frozenset, lv)) for lv in levels), tuple(c))
-    return eqrel_triple(h, weights)

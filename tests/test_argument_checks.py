@@ -73,6 +73,14 @@ CASES = [
         InputError, "--family padic needs --points and --p", id="generate-padic",
     ),
     pytest.param(
+        cli("generate", "--family", "mod", "--points", "0,1", "--m", "2", "--eps", "1"),
+        InputError, "--family mod needs --points, --m, --eps, --alpha", id="generate-mod",
+    ),
+    pytest.param(
+        cli("generate", "--family", "padic-log", "--p", "2"),
+        InputError, "--family padic-log needs --points and --p", id="generate-padic-log",
+    ),
+    pytest.param(
         cli("generate", "--family", "rseq", "--points", "0,1", "--r", "1,2"),
         InputError, "--family rseq needs --points, --r, --c", id="generate-rseq",
     ),
@@ -85,6 +93,10 @@ CASES = [
         ValueError, "c has 2 entries but the valuation reaches 2", id="generate-rseq-short-c",
     ),
     pytest.param(cli("generate", "--family", "random"), InputError, "--family random needs --n", id="generate-random"),
+    pytest.param(
+        cli("generate", "--family", "random", "--n", "7", "--weights", "1,2"),
+        ValueError, "expected 7 weights, got 2", id="generate-random-weight-count",
+    ),
     pytest.param(
         cli("tree", "{file}", file="root\nr a 1\n"), InputError, ":1: root line needs exactly one vertex", id="tree-root-line",
     ),

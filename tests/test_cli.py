@@ -367,6 +367,15 @@ class TestGenerateCommand:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_random_weights_replace_the_drawn_ones(self, capsys):
+        argv = ["generate", "--family", "random", "--n", "7", "--seed", "7"]
+        _, plain, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--weights", "1,2,3,4,5,6,-1/7")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["distances"] == json.loads(plain)["distances"]
+        assert doc["weights"] == ["1", "2", "3", "4", "5", "6", "-1/7"]
+
     def test_weights_applied(self, capsys):
         code, out, _ = run(
             capsys,
@@ -1263,5 +1272,121 @@ def test_any_input_keeps_the_exit_contract(fuzz_dir, invocation):
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        json.loads(out.getvalue())
+
+
+def _mostly(usual, edge):
+    """A draw of usual, or of edge about one time in four."""
+    return st.builds(lambda rare, u, e: e if rare else u, _RARELY, usual, edge)
+
+
+# words from the edges of the rational grammar: empty, blank, a plus sign, a
+# zero denominator, a decimal, a non-ASCII digit, a letter, a huge integer
+_EDGE = st.sampled_from(["", " ", "+2", "1/0", "1.5", "٣", "x", " 5 ", str(2**100)])
+_INT = st.integers(-3, 9).map(str)
+_RAT = st.sampled_from(["-2", "0", "1", "2", "1/2", "-3/4", "7/3"])
+
+
+@st.composite
+def _lists(draw, entry):
+    """At most six entries, so repeated points are frequent; rarely one edge word."""
+    words = draw(st.lists(entry, max_size=6))
+    if draw(_RARELY):
+        words.insert(draw(st.integers(0, len(words))), draw(_EDGE))
+    return ",".join(words)
+
+
+# primes, 2**61 - 1 among them; rarely a composite, a unit, a negative, a
+# Mersenne prime past the exact range of the primality test or a malformed p
+_P = _mostly(
+    st.sampled_from(["2", "3", "5", str(2**61 - 1)]),
+    st.sampled_from(["4", "9", "1", "0", "-2", str(2**89 - 1), str(10**30), "+2", "1.5"]),
+)
+# --n and --depth stay small: `generate` has no size cap yet (ROADMAP item 5),
+# so a huge --n or --depth exhausts memory or time instead of exiting 2.  The
+# bound leaves that gap documented, not hidden.  pordering's --m is capped.
+_SIZE = _mostly(st.integers(-1, 18).map(str), st.sampled_from(["", "+2", "1.5", "٣"]))
+_GENERATE_NEEDS = {
+    "constant": ("--n",),
+    "mod": ("--points", "--m", "--eps", "--alpha"),
+    "padic": ("--points", "--p"),
+    "padic-log": ("--points", "--p"),
+    "rseq": ("--points", "--r", "--c"),
+    "random": ("--n",),
+}
+_GENERATE_OPTIONS = {
+    "--points": _lists(_INT), "--n": _SIZE, "--weights": _lists(_RAT), "--m": _mostly(_INT, _EDGE),
+    "--eps": _mostly(_RAT, _EDGE), "--alpha": _mostly(_RAT, _EDGE), "--p": _P, "--r": _lists(_INT),
+    "--c": _lists(_RAT), "--seed": _mostly(_INT, _EDGE), "--depth": _SIZE,
+}
+_TREE_NAMES = "rabcd"
+# a line that breaks a tree file or repeats a directive
+_TREE_FAULT = st.sampled_from(
+    ["root r", "root", "root r a", "leaves a,a", "leaves", "leaves a,,c", "a b c d", "r r 1", "a b 1", "b x -1", "c d 1/0"]
+)
+
+
+@st.composite
+def _tree_files(draw):
+    """At most eight lines: a tree on r, a, b, ... rooted at r, sometimes with a
+    leaves line, and rarely lines that break it or repeat a directive."""
+    k = draw(st.integers(1, len(_TREE_NAMES)))
+    weight = _mostly(st.sampled_from(["0", "1", "2", "1/2", "7/3"]), _EDGE)
+    lines = ["root r"]
+    for i in range(1, k):
+        lines.append(f"{_TREE_NAMES[draw(st.integers(0, i - 1))]} {_TREE_NAMES[i]} {draw(weight)}")
+    if draw(st.booleans()):
+        lines.append("leaves " + ",".join(draw(st.lists(st.sampled_from(_TREE_NAMES[:k]), min_size=1, max_size=3))))
+    while len(lines) < 8 and draw(_RARELY):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_TREE_FAULT))
+    return "\n".join(lines).encode()
+
+
+@st.composite
+def _other_invocations(draw):
+    """A `generate`, `tree` or `pordering` command line and the bytes of the
+    tree file it may read."""
+    command = draw(st.sampled_from(["generate", "tree", "pordering"]))
+    data = b""
+    if command == "generate":
+        family = draw(st.sampled_from(sorted(_GENERATE_NEEDS)))
+        argv = ["generate", f"--family={family}"]
+        needs = _GENERATE_NEEDS[family]
+        missing = draw(st.sampled_from(needs)) if draw(_RARELY) else None  # rarely one needed option
+        for option, values in _GENERATE_OPTIONS.items():
+            if option != missing and (option in needs or draw(_RARELY)):
+                argv.append(f"{option}={draw(values)}")
+    elif command == "tree":
+        argv = ["tree", "{}"]
+        data = draw(_tree_files())
+    else:
+        argv = ["pordering", f"--p={draw(_P)}"]
+        if not draw(_RARELY):
+            argv.append(f"--points={draw(_lists(_INT))}")
+        for option, values in (("--m", _SIZE | st.just("1000001")), ("--check", _lists(_INT))):
+            if draw(st.booleans()):
+                argv.append(f"{option}={draw(values)}")
+    return argv, data
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(invocation=_other_invocations())
+def test_any_option_keeps_the_exit_contract(fuzz_dir, invocation):
+    """0, 1 or 2 and never a traceback; a 2 writes nothing to stdout and one
+    `error:` line to stderr, after argparse's usage lines for a bad option."""
+    argv, data = invocation
+    path = fuzz_dir / "tree.txt"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(path) if a == "{}" else a for a in argv])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == ""
+        assert sum("error: " in line for line in lines) == 1 and "Traceback" not in err.getvalue()
+        if not lines[0].startswith("usage: "):
+            assert len(lines) == 1 and lines[0].startswith("error: ")
     else:
         json.loads(out.getvalue())

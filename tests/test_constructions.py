@@ -21,6 +21,7 @@ from ultragreedy import (
     padic_log_triple,
     padic_triple,
     perimeter_set,
+    random_ultra_triple,
     rseq_triple,
     shift_distances,
     tree_triple,
@@ -202,6 +203,17 @@ class TestRseqSweep:
         t = rseq_triple(range(2000), r, c)
         assert time.perf_counter() - start < 2.0  # 0.17 s; the per-pair loop took 5.7 s
         assert t.dist == padic_triple(range(2000), 2).dist
+
+
+class TestRandomWeights:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_given_weights_replace_the_drawn_ones(self, seed):
+        n, depth = 3 + seed, 1 + seed % 4
+        weights = [F(k, 1 + seed) for k in range(n)]
+        plain = random_ultra_triple(seed, n, depth)
+        got = random_ultra_triple(seed, n, depth, weights)
+        assert got == UltraTriple(plain.labels, weights, plain.dist)
+        assert validate(got).ok
 
 
 class TestEqrel:

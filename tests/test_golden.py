@@ -13,7 +13,8 @@ newline, a tab, non-ASCII, U+2028 and a non-BMP emoji), so the `greedy`
 writer's escaping is pinned.  `selfdist6` is a full triple that is ultrametric
 off the diagonal and fails only through one oversized self-distance, (d, d, r)
 for every r; no set perimeter reads a self-distance, so its greedoid is the
-cluster tree's.  The `generate` cases cover every family, and
+cluster tree's.  The `generate` cases cover every family, `random` with
+given weights too (its distances are those of the unweighted seed), and
 `tree7.txt` is a small weighted tree with fractional edge weights, so the
 instance writer behind `generate` and `tree` is pinned too.
 
@@ -54,6 +55,7 @@ GENERATE = (
     ("rseq", ["--family", "rseq", "--points", "0,1,2,3,4,6,8,12", "--r", "1,2,4", "--c", "3,2,1/2"]),
     ("rseq-negative-r0", ["--family", "rseq", "--points=-6,-2,0,4,8,12", "--r=-2,4,0", "--c", "3,2"]),
     ("random-seed7", ["--family", "random", "--n", "7", "--seed", "7"]),
+    ("random-seed7-weights", ["--family", "random", "--n", "7", "--seed", "7", "--weights", "1,2,3,4,5,6,-1/7"]),
 )
 
 

@@ -62,6 +62,10 @@ EXECUTED = [
     # invalid through one self-distance alone, which no set perimeter reads: no oracle
     (["greedoid", "selfdist6.json"], 0, {"cli", "core", "greedoid"}),
     (["greedoid", "--system", "planted5.system.json"], 1, {"cli", "core", "greedoid"}),
+    # invalid off the diagonal: the oracle scores each level, and builds nothing
+    (["greedoid", "ties6.json", "--emit", "sets"], 0, {"cli", "core", "greedoid", "oracle"}),
+    # the random family is a constructor like the others
+    (["generate", "--family", "random", "--n", "5"], 0, {"cli", "constructions", "core", "bhargava"}),
 ]
 
 
@@ -124,6 +128,11 @@ def test_star_import_binds_all():
     assert sorted(ultragreedy.__all__) == ultragreedy.__all__
     for name in ultragreedy.__all__:
         assert namespace[name] is getattr(ultragreedy, name)
+
+
+def test_triple_builders_live_in_constructions():
+    home = "ultragreedy.constructions"
+    assert ultragreedy.clone_triple.__module__ == ultragreedy.random_ultra_triple.__module__ == home
 
 
 def test_unknown_name_raises_attribute_error():
