@@ -12,9 +12,7 @@ writes the output and maps errors to exit codes.
 A rational string is an integer or "p/q" with surrounding whitespace
 trimmed: ASCII digits, a minus sign only in front, and an unsigned
 denominator; integer options and lists take its integers.  Each enumerating
-subcommand takes its limit from --cap alone: validate 64 points, greedy
---ties all 10**6 sequences, greedoid (instance or --system) 16 ground elements.
-pordering --m is held to 10**6 picks.
+subcommand takes its limit from --cap alone; pordering --m is held to 10**6.
 """
 
 from __future__ import annotations
@@ -37,12 +35,10 @@ def _lazy(name: str) -> ModuleType:
     """The package module `name`, executed on its first attribute access,
     so that a command compiles and runs only the modules it uses.
 
-    A module already imported is returned as it is, so every caller shares
-    one of each class; a new one is bound on the package, as an import
-    binds it.  Lazy modules rather than imports inside the handlers, because
-    bench/tracer.py finds these four in sys.modules right after
-    `import ultragreedy.cli`; once the tracer no longer patches them, plain
-    local imports can replace this.
+    A module already imported is returned as it is (one of each class); a
+    new one is bound on the package, as an import binds it.  Not local
+    imports, because bench/tracer.py finds these four in sys.modules right
+    after `import ultragreedy.cli` to patch them.
     """
     full = f"{__package__}.{name}"
     module = sys.modules.get(full)
@@ -112,13 +108,11 @@ def _rational_list(text: str, what: str) -> list[Fraction]:
 
 
 def _decode(text: str) -> object:
-    """json.loads(text), with each string in the arrays of a top-level object
-    shared with every equal one read before it: a string element, or every
-    entry of an element that is a list of strings.  An ultrametric on n points
-    has at most n - 1 distinct distances, but json would hold all n(n-1)/2
-    entry strings at once.  The memo takes strings only (JSON 1, 1.0 and true
-    are equal keys) and is freed with the call.  Values and errors are json's
-    own: its Python walkers, its C scanner."""
+    """json.loads(text), with each string in the arrays of a top-level object,
+    or in a list of strings inside them, shared with every equal one before
+    it: an ultrametric on n points has at most n - 1 distinct distances, not
+    n(n-1)/2.  The memo takes strings only (JSON 1, 1.0 and true are equal
+    keys).  Values and errors are json's own: its Python walkers, its C scanner."""
     scan = json.JSONDecoder().scan_once
     share = {}.setdefault
 
@@ -149,7 +143,7 @@ def _decode(text: str) -> object:
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as f:  # JSON and tree text is UTF-8, whatever the locale
+        with open(path, encoding="utf-8") as f:  # UTF-8, whatever the locale
             return f.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
@@ -177,8 +171,7 @@ def read_instance(path: str) -> core.UltraTriple:
     memo: dict[str, Fraction] = {}
 
     def rat(x: object, what: str) -> Fraction:
-        # an ultrametric has few distinct distances: each string is parsed
-        # once per file, and equal strings share one Fraction
+        # each distinct string is parsed once; equal strings share one Fraction
         if not isinstance(x, str):
             return _rational(x, what)
         value = memo.get(x)
@@ -193,9 +186,8 @@ def read_instance(path: str) -> core.UltraTriple:
         return x
 
     def rats(row: list, what: str) -> tuple[Fraction, ...]:
-        # a row of strings already seen is looked up at C speed; any other
-        # entry (a new string, a number, an unhashable) sends the whole row
-        # through `rat`, so errors and their order are those of `rat`
+        # a row of strings already seen is read at C speed; any other row
+        # goes through `rat`, so errors and their order are those of `rat`
         try:
             return tuple(map(memo.__getitem__, row))
         except (KeyError, TypeError):
@@ -218,12 +210,10 @@ def read_instance(path: str) -> core.UltraTriple:
 
 def instance_document(t: core.UltraTriple) -> dict:
     """The instance file's document for `t`, each distinct rational object
-    formatted once: an ultrametric has at most n - 1 distinct distances, and
-    the constructors share one object per value.  `shown` maps id(x) to
-    str(x), safe because `t` keeps every x alive for the call.  It holds at
-    most 2n entries (n weights and n distances): a row with an object not yet
-    seen that might not fit is formatted entry by entry, so a table of
-    distinct objects costs about what one string per entry costs."""
+    formatted once: the constructors share one object per distinct value.
+    `shown` maps id(x) to str(x) (`t` keeps every x alive) and holds at most
+    2n entries: a row that might not fit is formatted entry by entry, so
+    distinct objects cost about one string per entry."""
     shown: dict[int, str] = {}
 
     def strs(row: tuple) -> list[str]:
@@ -303,32 +293,28 @@ def _json_list(items: list[str]) -> str:
 
 
 def _traces_json(
-    t: core.UltraTriple, mode: str, traces: Iterable[tuple[Sequence[int], Sequence[Fraction]]]
+    t: core.UltraTriple, mode: str, groups: Iterable[tuple[Sequence[int], Sequence[Fraction], Sequence[int]]]
 ) -> Iterator[str]:
     """{"mode", "traces": [{"points", "increments", "prefix_perimeters"}]}
-    for (points, increments) pairs, in chunks, one per trace, whose
-    concatenation is exactly `json.dumps(doc, indent=2)`.
+    for the groups (picks, increments, winners) of `greedy._paths`, one chunk
+    per group, whose concatenation is exactly `json.dumps(doc, indent=2)`.
+    A group's traces are picks + (x,) for each winner x, or picks alone.
 
-    A tie enumeration hands each set's gain to every path through it, so
-    consecutive traces share leading increment objects.  The previous
-    trace's rendered increments and running sums are kept up to its first
-    increment that is not the same object as this trace's, so each shared
-    prefix is summed and formatted once.  Identity implies equality, so the
-    output is right for any pairs.
+    The rendered increments and running sums are kept up to the first entry
+    that differs in the next group (equal Fractions print the same).  A
+    group's traces differ only in their last label: one join renders them.
     """
     labels = [encode_basestring_ascii(label) for label in t.labels]
-    kept: Sequence | None = None  # not (): an m = 0 trace must still be rendered
-    sums = [Fraction(0)]
-    inc_items: list[str] = []
-    sum_items: list[str] = []
-    blocks = ""
+    picked = [f"{label},\n        " for label in labels]  # a pick before the last
+    kept = None  # not (): an m = 0 trace must still be rendered
+    sums, inc_items, sum_items = [Fraction(0)], [], []
     sep = "[\n"
     yield f'{{\n  "mode": {encode_basestring_ascii(mode)},\n  "traces": '
-    for points, incs in traces:
-        if incs is not kept:
+    for picks, incs, winners in groups:
+        if incs != kept:
             old = kept or ()
             k, top = 0, min(len(incs), len(old))
-            while k < top and incs[k] is old[k]:
+            while k < top and (incs[k] is old[k] or incs[k] == old[k]):
                 k += 1
             del sums[k + 1 :], inc_items[k:], sum_items[k:]
             for x in incs[k:]:
@@ -336,9 +322,13 @@ def _traces_json(
                 inc_items.append(encode_basestring_ascii(str(x)))
                 sum_items.append(encode_basestring_ascii(str(sums[-1])))
             kept = incs
-            blocks = f'{_json_list(inc_items)},\n      "prefix_perimeters": {_json_list(sum_items)}'
-        shown = _json_list([labels[a] for a in points])
-        yield f'{sep}    {{\n      "points": {shown},\n      "increments": {blocks}\n    }}'
+            blocks = f'{_json_list(inc_items)},\n      "prefix_perimeters": {_json_list(sum_items)}\n    }}'
+            tail = f'\n      ],\n      "increments": {blocks}'
+        if winners:
+            head = '    {\n      "points": [\n        ' + "".join(map(picked.__getitem__, picks))
+            yield sep + head + (tail + ",\n" + head).join(map(labels.__getitem__, winners)) + tail
+        else:
+            yield f'{sep}    {{\n      "points": {_json_list([labels[a] for a in picks])},\n      "increments": {blocks}'
         sep = ",\n"
     yield "[]\n}" if sep == "[\n" else "\n  ]\n}"
 
@@ -369,12 +359,12 @@ def cmd_greedy(args: argparse.Namespace) -> tuple[Iterator[str], int]:
         if args.mode == "subseq":
             raise InputError("--ties all supports permutation mode only")
         # counted and held to the cap here, before the first byte is written
-        paths = greedy._paths(greedy._set_dag(t, pts, m, args.cap)[0])
+        groups = greedy._paths(greedy._set_dag(t, pts, m, args.cap)[0])
     else:
         select = greedy.greedy_subsequence if args.mode == "subseq" else greedy.greedy_permutation
         trace = select(t, pts, m)
-        paths = [(trace.points, trace.increments)]
-    return _traces_json(t, "subsequence" if args.mode == "subseq" else "permutation", paths), 0
+        groups = [(trace.points[:-1], trace.increments, trace.points[-1:])]
+    return _traces_json(t, "subsequence" if args.mode == "subseq" else "permutation", groups), 0
 
 
 def cmd_nu(args: argparse.Namespace) -> tuple[str, int]:
@@ -411,7 +401,7 @@ def cmd_greedoid(args: argparse.Namespace) -> tuple[str, int]:
 
 
 # family -> its `constructions` builder, whose parameters the options name, the
-# options it needs, in the order its error names them, and those with defaults
+# options it needs (in its error's order), and those with defaults
 _FAMILIES = {
     "constant": ("constant_triple", ("n",), ()),
     "mod": ("mod_triple", ("points", "m", "eps", "alpha"), ()),
@@ -447,7 +437,7 @@ def parse_tree_file(path: str) -> WeightedTree:
     edges: list[tuple[str, str, Fraction]] = []
     root = None
     leaves: tuple[str, ...] | None = None
-    vertices: dict[str, None] = {}  # insertion-ordered set: first-seen order
+    vertices: dict[str, None] = {}  # insertion-ordered set
     note = vertices.setdefault
 
     for lineno, line in enumerate(lines, start=1):
@@ -575,8 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    # exact rationals may carry integers of any length, in options, files and
-    # output alike; the caller's int/str digit limit comes back on return
+    # exact rationals may carry integers of any length, in input and output;
+    # the caller's int/str digit limit comes back on return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -591,12 +581,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # the reader closed stdout early; what is still buffered goes to the
-        # null device, so the interpreter's flush at exit cannot fail again
+        # the reader closed stdout early (and stderr, after `2>&1`): what is
+        # still buffered goes to the null device, so the flush at exit cannot
+        # fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print("error: stdout closed before all output was written", file=sys.stderr, flush=True)
+        except OSError:
+            os.dup2(devnull, sys.stderr.fileno())
         os.close(devnull)
-        print("error: stdout closed before all output was written", file=sys.stderr)
         return 2
     finally:
         sys.set_int_max_str_digits(limit)

@@ -209,17 +209,22 @@ def _set_dag(t: UltraTriple, C: Iterable[int], m: int, cap: float = math.inf) ->
         level, paths = nxt, into
 
 
-def _paths(levels: list[dict]) -> Iterator[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
-    """(points, increments) of every path through the levels, in
-    lexicographic order.
+def _paths(
+    levels: list[dict],
+) -> Iterator[tuple[tuple[int, ...], tuple[Fraction, ...], list[int] | tuple[()]]]:
+    """The greedy paths through the levels, one group per visit of a
+    last-level set, in lexicographic order.
 
+    A group (picks, increments, winners) holds the m - 1 picks that reach
+    the set, the m increments shared by every path through it, and the
+    set's winners, lowest index first: its paths are picks + (x,) for each
+    winner x.  Only m = 0 gives a group with no winners, the one empty path.
     Depth-first on an explicit stack rather than the call stack, so no
     depth hits the recursion limit.  Every path through a set shares its
-    `best` object, and the children of a set at the last level share one
-    increments tuple, so the trace writer formats each shared prefix once.
+    `best` object, and the trace writer renders a group's traces in one join.
     """
     if not levels:
-        yield (), ()
+        yield (), (), ()
         return
     last = len(levels) - 1
     stack = [((), (), 0)]  # (points, increments before the next pick, set)
@@ -229,12 +234,20 @@ def _paths(levels: list[dict]) -> Iterator[tuple[tuple[int, ...], tuple[Fraction
         best, winners = levels[k][A]
         increments += (best,)
         if k == last:
-            for x in winners:
-                yield chosen + (x,), increments
+            yield chosen, increments, winners
         else:
             # pushed highest index first, so the lowest is popped first
             for x in reversed(winners):
                 stack.append((chosen + (x,), increments, A | 1 << x))
+
+
+def _expand(levels: list[dict]) -> Iterator[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
+    """(points, increments) of every path of `_paths`, in its order."""
+    for chosen, increments, winners in _paths(levels):
+        if not winners:
+            yield chosen, increments
+        for x in winners:
+            yield chosen + (x,), increments
 
 
 def all_greedy_traces(t: UltraTriple, C: Iterable[int], m: int, cap: int = 10**6) -> tuple[GreedyTrace, ...]:
@@ -245,14 +258,14 @@ def all_greedy_traces(t: UltraTriple, C: Iterable[int], m: int, cap: int = 10**6
     paths are counted before any trace is built, and `cap` bounds that
     count: exceeding it is an error, never a truncation.
     """
-    return tuple(GreedyTrace(points, increments, "permutation") for points, increments in _paths(_set_dag(t, C, m, cap)[0]))
+    return tuple(GreedyTrace(points, increments, "permutation") for points, increments in _expand(_set_dag(t, C, m, cap)[0]))
 
 
 def all_greedy_permutations(
     t: UltraTriple, C: Iterable[int], m: int, cap: int = 10**6
 ) -> tuple[tuple[int, ...], ...]:
     """Every greedy m-permutation of C, in lexicographic order (see `all_greedy_traces`)."""
-    return tuple(points for points, _ in _paths(_set_dag(t, C, m, cap)[0]))
+    return tuple(points for points, _ in _expand(_set_dag(t, C, m, cap)[0]))
 
 
 def count_greedy_permutations(t: UltraTriple, C: Iterable[int], m: int) -> int:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -14,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ultragreedy import greedy as greedy_module
 from ultragreedy import (
     FullUltraTriple,
     GreedyTrace,
     UltraTriple,
     WeightedTree,
-    all_greedy_traces,
     bhargava_greedoid,
+    constant_triple,
     extend_to_full,
     greedy_permutation,
     greedy_subsequence,
@@ -202,10 +204,26 @@ def _reference_json(t, mode, traces):
     return json.dumps(doc, indent=2)
 
 
-def _assert_writer_matches(t, mode, traces):
-    # the writer takes (points, increments) pairs and yields the document in chunks
-    pairs = [(tr.points, tr.increments) for tr in traces]
-    assert "".join(_traces_json(t, mode, pairs)) == _reference_json(t, mode, traces)
+def _one(trace):
+    """The one-trace group of a trace, as `greedy --ties first` writes it."""
+    return trace.points[:-1], trace.increments, trace.points[-1:]
+
+
+def _groups(t, pts, m):
+    """The groups of every greedy m-permutation of pts, as `greedy --ties all` writes them."""
+    return list(greedy_module._paths(greedy_module._set_dag(t, pts, m)[0]))
+
+
+def _assert_writer_matches(t, mode, groups):
+    # the writer takes (picks, increments, winners) groups, whose traces are
+    # picks + (x,) for each winner x or picks alone, and yields one chunk per
+    # group between the opening and the closing chunk
+    traces = []
+    for picks, incs, winners in groups:
+        traces += [GreedyTrace(picks + (x,), incs, mode) for x in winners] or [GreedyTrace(picks, incs, mode)]
+    chunks = list(_traces_json(t, mode, groups))
+    assert len(chunks) == len(groups) + 2
+    assert "".join(chunks) == _reference_json(t, mode, traces)
 
 
 class TestTraceWriter:
@@ -215,36 +233,47 @@ class TestTraceWriter:
     def test_random_valid_triples(self, seed):
         t = _relabel(random_ultra_triple(seed, 3 + seed % 6, 1 + seed % 3))
         for m in range(t.n + 1):
-            _assert_writer_matches(t, "permutation", all_greedy_traces(t, t.points(), m))
-        _assert_writer_matches(t, "permutation", [greedy_permutation(t, t.points(), t.n)])
+            _assert_writer_matches(t, "permutation", _groups(t, t.points(), m))
+        _assert_writer_matches(t, "permutation", [_one(greedy_permutation(t, t.points(), t.n))])
 
     @pytest.mark.parametrize("build, p", [(padic_triple, 2), (padic_triple, 3), (padic_log_triple, 2)])
     def test_padic_triples(self, build, p):
         t = _relabel(build(range(9), p))
         for m in (0, 1, 3, 5, 9):
-            traces = all_greedy_traces(t, t.points(), m)
+            groups = _groups(t, t.points(), m)
             if m >= 3:
-                assert len(traces) > 1
-            _assert_writer_matches(t, "permutation", traces)
+                assert len(groups) > 1
+            if m in (3, 5):  # at m = 9 one point is left for the last pick
+                assert any(len(winners) > 1 for _, _, winners in groups)
+            _assert_writer_matches(t, "permutation", groups)
 
     def test_invalid_ties6(self):
         t = _relabel(read_instance(str(GOLDEN / "ties6.json")))
         for m in range(t.n + 1):
-            _assert_writer_matches(t, "permutation", all_greedy_traces(t, t.points(), m))
+            _assert_writer_matches(t, "permutation", _groups(t, t.points(), m))
         for m in (0, 1, 9):
-            _assert_writer_matches(t, "subsequence", [greedy_subsequence(t, t.points(), m)])
+            _assert_writer_matches(t, "subsequence", [_one(greedy_subsequence(t, t.points(), m))])
+
+    def test_every_m_on_a_constant_triple(self):
+        # every set ties, so every increment past the shared picks is equal
+        # to the previous group's but a distinct object
+        t = _relabel(constant_triple(7))
+        for m in range(t.n + 1):
+            groups = _groups(t, t.points(), m)
+            assert sum(len(winners) for _, _, winners in groups) == math.perm(7, m) or m == 0
+            _assert_writer_matches(t, "permutation", groups)
 
     def test_empty_selections(self):
         t = _relabel(padic_triple(range(4), 2))
         for pts in ([], [1, 3], t.points()):
-            _assert_writer_matches(t, "permutation", all_greedy_traces(t, pts, 0))
-        _assert_writer_matches(t, "permutation", all_greedy_traces(t, [], 0) * 3)
+            _assert_writer_matches(t, "permutation", _groups(t, pts, 0))
+        _assert_writer_matches(t, "permutation", _groups(t, [], 0) * 3)
         _assert_writer_matches(t, "permutation", [])
 
     def test_subsequence_mode(self):
         t = _relabel(extend_to_full(padic_triple(range(6), 2), Fraction(1, 4)))
         for m in (0, 1, 4, 11):
-            _assert_writer_matches(t, "subsequence", [greedy_subsequence(t, [0, 2, 5], m)])
+            _assert_writer_matches(t, "subsequence", [_one(greedy_subsequence(t, [0, 2, 5], m))])
 
     def test_hand_built_traces(self):
         t = _relabel(padic_triple(range(4), 2))
@@ -261,8 +290,57 @@ class TestTraceWriter:
             GreedyTrace((2, 3), (half, one), "permutation"),
             GreedyTrace((), (), "permutation"),
         ]
-        _assert_writer_matches(t, "permutation", traces)
-        _assert_writer_matches(t, "permutation", traces[::-1])
+        _assert_writer_matches(t, "permutation", [_one(tr) for tr in traces])
+        _assert_writer_matches(t, "permutation", [_one(tr) for tr in traces[::-1]])
+
+    def test_hand_built_groups(self):
+        t = _relabel(padic_triple(range(6), 2))
+        F = Fraction
+        one = F(1)
+        groups = [
+            ((), (one,), [0, 2, 5]),  # m = 1: the traces are the winners alone
+            ((), (F(1),), [1]),  # equal increments, a distinct object; one winner
+            ((0, 1), (one, F(1, 2), F(3)), [2, 4]),
+            ((0, 1), (F(1), F(1, 2), F(3)), [3]),  # equal to the last group, entry by entry
+            ((0, 1), (one, F(1, 2), F(7, 3)), [2, 5]),  # differs only in the last entry
+            ((0, 3), (one, F(1, 2), F(7, 3)), [1]),  # shares one leading pick
+            ((1, 0), (one, F(1, 2), F(7, 3)), [5, 4]),  # shares none
+            ((1, 0), (F(-1, 2), F(1, 2), F(7, 3)), [2]),  # the same picks, the first entry differs
+            ((2, 3, 4), (F(0), F(5, 6), F(5, 6), F(-5)), [0, 1, 5]),
+            ((2, 3), (F(0), F(5, 6), F(5, 6)), [4]),  # a prefix of the last group's
+            ((), (), ()),  # m = 0: no picks, no winners, one empty trace
+            ((), (), ()),
+            ((4,), (one, one), [0]),
+        ]
+        for order in (groups, groups[::-1]):
+            _assert_writer_matches(t, "permutation", order)
+        # subsequence traces repeat points, in the picks and as a winner
+        repeats = [
+            ((0, 0), (one, F(1, 4), F(1, 4)), [0, 3]),
+            ((0, 0, 3), (one, F(1, 4), F(1, 4), F(1, 4)), [3]),
+            ((3, 3), (one, F(1, 4), F(1, 4)), [3]),
+        ]
+        _assert_writer_matches(t, "subsequence", repeats)
+
+    def test_one_chunk_per_group_as_the_groups_arrive(self):
+        # the writer streams: each group is rendered as it is read, never the
+        # whole document at once
+        t = _relabel(constant_triple(8))
+        groups = _groups(t, t.points(), 4)
+        read = []
+
+        def source():
+            for group in groups:
+                read.append(group)
+                yield group
+
+        chunks = _traces_json(t, "permutation", source())
+        assert next(chunks).startswith('{\n  "mode": "permutation"') and read == []
+        for i, group in enumerate(groups, 1):
+            chunk = next(chunks)
+            assert len(read) == i and chunk.count('"points"') == len(group[2])
+        assert next(chunks) == "\n  ]\n}" and len(read) == len(groups)
+        assert next(chunks, None) is None
 
 
 class TestNuCommand:
@@ -875,6 +953,20 @@ class TestParsing:
             code = proc.wait()
         assert head.startswith(b'{\n  "mode": "permutation",')
         assert (code, err) == (2, "error: stdout closed before all output was written\n")
+
+    def test_reader_closing_stdout_and_stderr_early_exits_2(self, capsys, tmp_path):
+        # `2>&1 | head -c 100`: the error line goes to the same closed pipe,
+        # and writing it must not fail the exit code
+        path = tmp_path / "p.json"
+        points = ",".join(str(x) for x in range(16))
+        assert run(capsys, "generate", "--family", "padic", "--points", points, "--p", "2", "--out", str(path))[0] == 0
+        argv = [sys.executable, "-m", "ultragreedy", "greedy", str(path), "--m", "4", "--ties", "all"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        assert head.startswith(b'{\n  "mode": "permutation",')
+        assert code == 2
 
 
 def _outcome(decode, text):

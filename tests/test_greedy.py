@@ -238,6 +238,80 @@ class TestCountGreedyPermutations:
             count_greedy_permutations(parity5, [0, 9], 1)
 
 
+def _paths_reference(levels):
+    """(points, increments) of every path through the set DAG's levels, in
+    lexicographic order, one path at a time: the walk `greedy._paths` made
+    before it yielded one group per visit of a last-level set."""
+    if not levels:
+        yield (), ()
+        return
+    last = len(levels) - 1
+    stack = [((), (), 0)]
+    while stack:
+        chosen, increments, A = stack.pop()
+        k = len(chosen)
+        best, winners = levels[k][A]
+        increments += (best,)
+        if k == last:
+            for x in winners:
+                yield chosen + (x,), increments
+        else:
+            for x in reversed(winners):
+                stack.append((chosen + (x,), increments, A | 1 << x))
+
+
+def _expanded(levels):
+    """The paths of `greedy._paths`' groups: picks + (x,) for each winner x,
+    or the picks alone for a group without winners."""
+    paths = []
+    for picks, increments, winners in greedy_module._paths(levels):
+        assert list(winners) == sorted(set(winners))
+        paths += [(picks + (x,), increments) for x in winners] or [(picks, increments)]
+    return paths
+
+
+def _path_cases():
+    """Valid random and p-adic triples on random subsets, the invalid ties6,
+    and constant triples, each with every m."""
+    rng = random.Random(2603)
+    cases = []
+    for seed in range(16):
+        t = random_ultra_triple(seed, 2 + seed % 7, 1 + seed % 3)
+        cases.append((t, sorted(rng.sample(range(t.n), rng.randint(0, t.n)))))
+    for p, n in ((2, 9), (3, 8), (5, 7)):
+        t = padic_triple([rng.randrange(10**6) for _ in range(n)], p)
+        cases += [(t, t.points()), (t, sorted(rng.sample(range(n), n - 2)))]
+    ties6 = read_instance(str(Path(__file__).parent / "golden" / "ties6.json"))
+    cases.append((ties6, ties6.points()))
+    cases += [(constant_triple(n), range(n)) for n in range(7)]
+    return [(t, list(C), m) for t, C in cases for m in range(len(C) + 1)]
+
+
+class TestPathGroups:
+    """`greedy._paths` yields one group per visit of a last-level set; its
+    paths are exactly the per-path walk's, in the same order."""
+
+    @pytest.mark.parametrize("t, C, m", _path_cases())
+    def test_expanded_groups_equal_the_per_path_walk(self, t, C, m):
+        levels = greedy_module._set_dag(t, C, m)[0]
+        want = list(_paths_reference(levels))
+        got = _expanded(levels)
+        assert got == want
+        assert [(tr.points, tr.increments) for tr in all_greedy_traces(t, C, m)] == want
+        assert list(all_greedy_permutations(t, C, m)) == [points for points, _ in want]
+        # the increments of a path are the same objects in both walks
+        assert all(a is b for (_, x), (_, y) in zip(got, want) for a, b in zip(x, y))
+
+    def test_one_group_per_visit_of_a_last_level_set(self):
+        t = constant_triple(6)
+        for m in range(1, 7):
+            groups = list(greedy_module._paths(greedy_module._set_dag(t, t.points(), m)[0]))
+            # every (m-1)-prefix is a visit; its set's winners are the other points
+            assert len(groups) == math.perm(6, m - 1)
+            assert all(len(winners) == 6 - m + 1 for _, _, winners in groups)
+        assert list(greedy_module._paths([])) == [((), (), ())]
+
+
 def test_cap_checked_before_any_trace(monkeypatch):
     t = padic_triple(range(16), 2)  # 131,072 greedy 6-permutations
 
@@ -614,7 +688,7 @@ class TestExactEngine:
     @pytest.mark.parametrize("t", [padic_triple(range(12), 2), _exact_cases()[24], constant_triple(4)])
     def test_paths_through_a_set_share_its_increment(self, t):
         m = min(t.n, 4)
-        paths = list(greedy_module._paths(greedy_module._set_dag(t, t.points(), m)[0]))
+        paths = _expanded(greedy_module._set_dag(t, t.points(), m)[0])
         assert len(paths) > 1
         for (p, pi), (q, qi) in combinations(paths, 2):
             for k in range(m):
