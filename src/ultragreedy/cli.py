@@ -12,7 +12,8 @@ writes the output and maps errors to exit codes.
 A rational string is an integer or "p/q" with surrounding whitespace
 trimmed: ASCII digits, a minus sign only in front, and an unsigned
 denominator; integer options and lists take its integers.  Each enumerating
-subcommand takes its limit from --cap alone; pordering --m is held to 10**6.
+subcommand takes its limit from --cap alone; pordering --m, and greedy --m
+and nu --k in subsequence mode, are held to 10**6.
 """
 
 from __future__ import annotations
@@ -250,9 +251,15 @@ def read_set_system(path: str, cap: int) -> greedoid.SetSystem:
         raise InputError(f"{path}: bad set system: {exc}") from None
 
 
-def _selection(args: argparse.Namespace) -> tuple[core.UltraTriple, list[int]]:
+def _hold(length: int, flag: str, what: str) -> None:
+    """Refuse more than 10**6 picks before the first: the sequence is held in memory."""
+    if length > 10**6:
+        raise InputError(f"--{flag} exceeds the {what} cap 1000000")
+
+
+def _selection(args: argparse.Namespace, flag: str) -> tuple[core.UltraTriple, list[int]]:
     """The instance and the --subset points of `greedy` and `nu`; subsequence
-    mode needs a full triple."""
+    mode needs a full triple, and its length, the option `flag`, is held."""
     t = read_instance(args.instance)
     if args.subset is None:
         pts = list(t.points())
@@ -265,8 +272,10 @@ def _selection(args: argparse.Namespace) -> tuple[core.UltraTriple, list[int]]:
             except KeyError:
                 raise InputError(f"unknown point label {label!r}") from None
         pts = list(dict.fromkeys(chosen))  # the library reads C as a set
-    if args.mode == "subseq" and not isinstance(t, core.FullUltraTriple):
-        raise InputError("subsequence mode needs a full triple (selfdist field)")
+    if args.mode == "subseq":
+        if not isinstance(t, core.FullUltraTriple):
+            raise InputError("subsequence mode needs a full triple (selfdist field)")
+        _hold(getattr(args, flag) or 0, flag, "subsequence")  # greedy's default m is |C|
     return t, pts
 
 
@@ -353,7 +362,7 @@ def cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_greedy(args: argparse.Namespace) -> tuple[Iterator[str], int]:
-    t, pts = _selection(args)
+    t, pts = _selection(args, "m")
     m = len(pts) if args.m is None else args.m
     if args.ties == "all":
         if args.mode == "subseq":
@@ -368,7 +377,7 @@ def cmd_greedy(args: argparse.Namespace) -> tuple[Iterator[str], int]:
 
 
 def cmd_nu(args: argparse.Namespace) -> tuple[str, int]:
-    t, pts = _selection(args)
+    t, pts = _selection(args, "k")
     value = (greedy.nu if args.mode == "subseq" else greedy.nu_bar)(t, pts, args.k)
     return json.dumps(str(value)), 0
 
@@ -489,8 +498,7 @@ def cmd_pordering(args: argparse.Namespace) -> tuple[str, int]:
         verdict = bhargava.is_pm_ordering(points, args.p, _int_list(args.check, "--check"))
         return json.dumps(verdict), 0 if verdict else 1
     m = len(points) if args.m is None else args.m
-    if m > 10**6:  # before the first pick: the ordering is held in memory
-        raise InputError("--m exceeds the pordering cap 1000000")
+    _hold(m, "m", "pordering")
     return json.dumps(bhargava.pm_ordering(points, args.p, m)), 0
 
 

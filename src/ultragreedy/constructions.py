@@ -243,7 +243,9 @@ def random_ultra_triple(seed: int, n: int, depth: int = 3, weights: Iterable | N
     """A random valid triple, deterministic in the seed.
 
     Draws a random refinement chain of partitions with weakly decreasing
-    per-level distances; validity is then automatic.  Small value ranges
+    per-level distances; validity is then automatic.  The blocks holding a
+    pair are written as drawn, so a call costs O(n**2) plus one draw pair
+    per level of `depth`, which is held to 10**6.  Small value ranges
     keep ties frequent, which the tie-sensitive greedy properties need.
     The weights are drawn last, so given weights replace them and leave the
     distances of the seed as they are.
@@ -254,31 +256,28 @@ def random_ultra_triple(seed: int, n: int, depth: int = 3, weights: Iterable | N
         raise ValueError(f"n={n} must be between 1 and 16")
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if depth > 10**6:
+        raise ValueError(f"depth={depth} must be at most 1000000")
     rng = random.Random(seed)
-    levels: list[list[list[int]]] = [[list(range(n))]]
-    for _ in range(depth - 1):
-        prev = levels[-1]
+    levels: list[list[list[int]]] = []  # from level 1 on, the blocks still holding a pair
+    blocks = [range(n)] if n > 1 else []  # a single point draws nothing
+    while blocks and len(levels) < depth - 1:
         nxt: list[list[int]] = []
-        for block in prev:
-            if len(block) == 1:
-                nxt.append(block)
-                continue
+        for block in blocks:
             parts = rng.randint(1, len(block))
             buckets: dict[int, list[int]] = {}
             for e in block:
                 buckets.setdefault(rng.randrange(parts), []).append(e)
-            nxt.extend(sorted(buckets.values(), key=lambda b: b[0]))
-        levels.append(nxt)
-    levels.append([[e] for e in range(n)])  # force separation of every pair
-    c: list[Fraction] = []
-    value = Fraction(rng.randint(-2, 8), rng.choice((1, 1, 2)))
-    for _ in range(max(1, len(levels) - 1)):
-        c.append(value)
-        value -= Fraction(rng.choice((0, 0, 1, 2)), rng.choice((1, 2)))
+            nxt += sorted((b for b in buckets.values() if len(b) > 1), key=lambda b: b[0])
+        levels.append(blocks := nxt)
+    c = [Fraction(rng.randint(-2, 8), rng.choice((1, 1, 2)))]
+    for _ in levels:
+        c.append(c[-1] - Fraction(rng.choice((0, 0, 1, 2)), rng.choice((1, 2))))
+    for _ in range(depth - len(levels)):  # steps no level uses: still drawn, as the weights come after them
+        rng.choice((0, 0, 1, 2)), rng.choice((1, 2))
     if weights is None:
         weights = tuple(Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2))) for _ in range(n))
-    h = EquivHierarchy(tuple(tuple(map(frozenset, lv)) for lv in levels), tuple(c))
-    return eqrel_triple(h, weights)
+    return _triple_from_blocks(range(n), c[0], zip(c[1:], levels), weights)
 
 
 class WeightedTree(_Record):

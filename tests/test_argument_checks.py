@@ -98,6 +98,14 @@ CASES = [
         ValueError, "expected 7 weights, got 2", id="generate-random-weight-count",
     ),
     pytest.param(
+        cli("generate", "--family", "random", "--n", "2", "--depth", "0"),
+        ValueError, "depth must be at least 1", id="generate-random-depth-zero",
+    ),
+    pytest.param(
+        cli("generate", "--family", "random", "--n", "2", "--depth", "1000001"),
+        ValueError, "depth=1000001 must be at most 1000000", id="generate-random-depth-cap",
+    ),
+    pytest.param(
         cli("tree", "{file}", file="root\nr a 1\n"), InputError, ":1: root line needs exactly one vertex", id="tree-root-line",
     ),
     pytest.param(

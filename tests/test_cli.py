@@ -645,6 +645,18 @@ class TestCaps:
         code, out, _ = run(capsys, "pordering", "--p", "2", "--points", "1,2", "--m", "3")
         assert (code, out) == (0, "[1, 2, 1]\n")
 
+    @pytest.mark.parametrize("command, flag", [("greedy", "--m"), ("nu", "--k")])
+    def test_subsequence_length_capped_before_the_first_pick(self, capsys, parity5_full_file, command, flag):
+        argv = (command, str(parity5_full_file), "--mode", "subseq", flag)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, str(10**12))
+        assert (code, out, err) == (2, "", f"error: {flag} exceeds the subsequence cap 1000000\n")
+        assert time.perf_counter() - start < 1
+        code, out, err = run(capsys, *argv, str(10**6 + 1))
+        assert (code, out, err) == (2, "", f"error: {flag} exceeds the subsequence cap 1000000\n")
+        code, out, err = run(capsys, *argv, "7")
+        assert (code, err) == (0, "") and json.loads(out)
+
     def test_environment_does_not_set_caps(self, capsys, parity5_file, monkeypatch):
         jobs = (["validate", str(parity5_file)], ["greedoid", str(parity5_file), "--emit", "sets"])
         want = [run(capsys, *argv)[:2] for argv in jobs]
@@ -1315,6 +1327,8 @@ _COMMANDS = {
     "greedy-first": (["greedy", "{}", "--ties", "first"], ("--m",)),
     "greedy-all": (["greedy", "{}", "--ties", "all"], ("--m", "--cap")),
     "nu": (["nu", "{}"], ("--k",)),
+    "greedy-subseq": (["greedy", "{}", "--mode", "subseq"], ("--m",)),
+    "nu-subseq": (["nu", "{}", "--mode", "subseq"], ("--k",)),
     "greedoid-sets": (["greedoid", "{}", "--emit", "sets"], ("--cap",)),
     "greedoid-check": (["greedoid", "{}", "--emit", "check"], ("--cap",)),
     "system-sets": (["greedoid", "--system", "{}", "--emit", "sets"], ()),
@@ -1329,6 +1343,8 @@ def _invocations(draw):
     argv, options = _COMMANDS[name]
     for option in options:
         value = draw(st.integers(-2, 3) if option == "--k" else _SMALL)  # --k is required
+        if name.endswith("subseq") and draw(_RARELY):
+            value = 10**6 + 1  # past the subsequence cap
         if value is not None:
             argv = [*argv, f"{option}={value}"]
     if draw(_RARELY):
@@ -1395,9 +1411,10 @@ _P = _mostly(
     st.sampled_from(["2", "3", "5", str(2**61 - 1)]),
     st.sampled_from(["4", "9", "1", "0", "-2", str(2**89 - 1), str(10**30), "+2", "1.5"]),
 )
-# --n and --depth stay small: `generate` has no size cap yet (ROADMAP item 5),
-# so a huge --n or --depth exhausts memory or time instead of exiting 2.  The
-# bound leaves that gap documented, not hidden.  pordering's --m is capped.
+# only --n stays small: `generate --family constant --n` has no size cap yet
+# (ROADMAP item 5), so a huge --n exhausts memory or time instead of exiting 2.
+# The bound leaves that gap documented, not hidden.  --depth and pordering's
+# --m are capped, and their draws go past the caps.
 _SIZE = _mostly(st.integers(-1, 18).map(str), st.sampled_from(["", "+2", "1.5", "٣"]))
 _GENERATE_NEEDS = {
     "constant": ("--n",),
@@ -1410,7 +1427,8 @@ _GENERATE_NEEDS = {
 _GENERATE_OPTIONS = {
     "--points": _lists(_INT), "--n": _SIZE, "--weights": _lists(_RAT), "--m": _mostly(_INT, _EDGE),
     "--eps": _mostly(_RAT, _EDGE), "--alpha": _mostly(_RAT, _EDGE), "--p": _P, "--r": _lists(_INT),
-    "--c": _lists(_RAT), "--seed": _mostly(_INT, _EDGE), "--depth": _SIZE,
+    "--c": _lists(_RAT), "--seed": _mostly(_INT, _EDGE),
+    "--depth": _SIZE | st.sampled_from(["1000001", str(10**12)]),
 }
 _TREE_NAMES = "rabcd"
 # a line that breaks a tree file or repeats a directive

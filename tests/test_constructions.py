@@ -216,6 +216,66 @@ class TestRandomWeights:
         assert validate(got).ok
 
 
+def _random_reference(seed, n, depth=3, weights=None):
+    """random_ultra_triple as it was before it wrote its drawn blocks itself:
+    every level drawn in full, singletons included, down to one that
+    separates every pair, then checked by EquivHierarchy and written by
+    eqrel_triple."""
+    rng = random.Random(seed)
+    levels = [[list(range(n))]]
+    for _ in range(depth - 1):
+        nxt = []
+        for block in levels[-1]:
+            if len(block) == 1:
+                nxt.append(block)
+                continue
+            parts = rng.randint(1, len(block))
+            buckets: dict[int, list[int]] = {}
+            for e in block:
+                buckets.setdefault(rng.randrange(parts), []).append(e)
+            nxt.extend(sorted(buckets.values(), key=lambda b: b[0]))
+        levels.append(nxt)
+    levels.append([[e] for e in range(n)])
+    c, value = [], F(rng.randint(-2, 8), rng.choice((1, 1, 2)))
+    for _ in range(depth):
+        c.append(value)
+        value -= F(rng.choice((0, 0, 1, 2)), rng.choice((1, 2)))
+    if weights is None:
+        weights = tuple(F(rng.randint(-8, 8), rng.choice((1, 1, 2))) for _ in range(n))
+    return eqrel_triple(EquivHierarchy(levels, c), weights)
+
+
+class TestRandomSweep:
+    """random_ultra_triple against the round trip through EquivHierarchy it replaced."""
+
+    @pytest.mark.parametrize("given", [False, True], ids=["drawn-weights", "given-weights"])
+    def test_matches_reference(self, given):
+        rng = random.Random(2701)
+        for n in range(1, 17):
+            for depth in range(1, 26):
+                for _ in range(3):
+                    seed = rng.randrange(10**6)
+                    weights = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] if given else None
+                    want = _random_reference(seed, n, depth, weights)
+                    t = random_ultra_triple(seed, n, depth, weights)
+                    assert (t.labels, t.weights, t.dist) == (want.labels, want.weights, want.dist), (seed, n, depth)
+                    # the reference writes one object per level: so must the builder
+                    assert _shares_one_object_per_level(t, lambda a, b: id(want.dist[a][b]))
+
+    def test_deep_chain_peaks_under_one_mib(self):
+        # the levels past the last pair are draws only: no list, Fraction or
+        # hierarchy is kept for them
+        random_ultra_triple(5, 16, 3)  # `random` loaded before the measured call
+        tracemalloc.start()
+        try:
+            t = random_ultra_triple(5, 16, 10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t == _random_reference(5, 16, 10**4)
+        assert peak < 2**20  # 0.01 MiB; 39.7 MiB through EquivHierarchy
+
+
 class TestEqrel:
     def test_two_level_constant(self):
         h = EquivHierarchy(
