@@ -72,9 +72,11 @@ def _chain_blocks(pts: list[int], moduli: Iterable[int]):
 
 
 def constant_triple(n: int, weights: Iterable | None = None) -> UltraTriple:
-    """n points, all pairwise distances equal to 1."""
+    """n points, all pairwise distances equal to 1; n is held to 2000."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > 2000:
+        raise ValueError(f"n={n} must be at most 2000")
     return _triple_from_blocks(range(n), Fraction(1), (), weights)
 
 

@@ -16,6 +16,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
 Rational = Fraction
 
@@ -195,23 +196,25 @@ class ValidationReport(_Record):
 
 def _rows(t: UltraTriple) -> list[list]:
     """Symmetric distance rows; the diagonal holds None (plain) or selfdist (full)."""
-    dist, n = t.dist, t.n
-    diag = t.selfdist if isinstance(t, FullUltraTriple) else (None,) * n
-    rows = [[*row, diag[i]] for i, row in enumerate(dist)]
-    for j in range(n):
-        for i, x in enumerate(dist[j]):
-            rows[i].append(x)
-    return rows
+    dist = t.dist
+    diag = t.selfdist if isinstance(t, FullUltraTriple) else (None,) * t.n
+    return [[*row, diag[i], *map(itemgetter(i), dist[i + 1 :])] for i, row in enumerate(dist)]
 
 
-def _mst_edges(rows: list[list]) -> list[tuple]:
-    """Prim's algorithm on the dense table: n - 1 tree edges (weight, a, b)."""
+def _merges(rows: list[list]) -> Iterator[tuple]:
+    """The single-linkage merges of the table, in increasing order.
+
+    Prim's algorithm finds a minimum spanning tree; its edges, sorted, merge
+    the clusters.  Yields (w, A, B, bad): the edge weight, the member lists
+    of the larger and the smaller cluster it joins, after which A absorbs B
+    (so A[0] names the cluster for good), and the cross pairs (p, q), p < q,
+    with d(p, q) > w.  Each pair of points meets in exactly one step, at
+    u(p, q), the largest edge on its tree path, so an ultrametric has no bad
+    pair: O(n**2) in total.  The diagonal is never read.
+    """
     n = len(rows)
-    if n < 2:
-        return []
-    best, link = list(rows[0]), [0] * n
-    rest = list(range(1, n))
-    edges = []
+    best, link = list(rows[0]) if n else [], [0] * n
+    rest, edges = list(range(1, n)), []
     while rest:
         v = min(rest, key=best.__getitem__)
         rest.remove(v)
@@ -220,24 +223,12 @@ def _mst_edges(rows: list[list]) -> list[tuple]:
         for x in rest:
             if row[x] < best[x]:
                 best[x], link[x] = row[x], v
-    return edges
-
-
-def _merges(rows: list[list]) -> Iterator[tuple]:
-    """The single-linkage merges along the tree edges, in increasing order.
-
-    Yields (w, A, B): the edge weight, then the member lists of the larger
-    and the smaller cluster it joins, after which A absorbs B (so A[0] names
-    the cluster for good).  Each pair of points meets in exactly one step,
-    at u(p, q), the largest edge on its tree path: O(n**2) in total.
-    """
-    n = len(rows)
     members, root = [[i] for i in range(n)], list(range(n))
-    for w, a, b in sorted(_mst_edges(rows)):
+    for w, a, b in sorted(edges):
         A, B = members[root[a]], members[root[b]]
         if len(A) < len(B):
             A, B = B, A
-        yield w, A, B
+        yield w, A, B, [(p, q) if p < q else (q, p) for p in A for q in B if rows[p][q] > w]
         for q in B:
             root[q] = A[0]
         A += B
@@ -256,26 +247,25 @@ def validate(t: UltraTriple) -> ValidationReport:
     the largest edge on the p-q path of a minimum spanning tree, is the
     largest ultrametric below d.  A violation therefore has
     d(p, q) > max(d(p, r), d(q, r)) >= max(u(p, r), u(q, r)) >= u(p, q),
-    so only a bad pair, d(p, q) > u(p, q), can be its left-hand side, and
-    only bad pairs are scanned against every third point.  The merge walk
-    `_merges` finds them: the pair meets at height u(p, q).  With repeated
-    points only (p, p, r) can fail, when selfdist(p) > d(p, r).
+    so only a bad pair of `_merges`, d(p, q) > u(p, q), can be its left-hand
+    side, and only bad pairs are scanned against every third point.  With
+    repeated points only (p, p, r) can fail, when selfdist(p) > d(p, r) for
+    some r, that is when selfdist(p) exceeds p's nearest-neighbour distance.
+    Every minimum spanning tree holds a lightest edge at each point, so p is
+    a singleton side exactly once, at that distance: there (p, p) joins the
+    merge's bad pairs, and the same scan reports its (p, p, r).
     """
-    rows = _rows(t)
-    found: list[Violation] = []
-    bad = ((p, q) if p < q else (q, p) for w, A, B in _merges(rows) for p in A for q in B if rows[p][q] > w)
-    for p, q in bad:
-        P, Q = rows[p], rows[q]
-        lhs = P[q]
-        for r in range(t.n):
-            if r != p and r != q and lhs > P[r] and lhs > Q[r]:
-                found.append(Violation((p, q, r), lhs, max(P[r], Q[r])))
-    if isinstance(t, FullUltraTriple):
-        for p, row in enumerate(rows):
-            s = row[p]  # at r = p, x is s itself and cannot exceed it
-            for r, x in enumerate(row):
-                if s > x:
-                    found.append(Violation((p, p, r), s, x))
+    rows, found = _rows(t), []
+    full = isinstance(t, FullUltraTriple)
+    for w, A, B, bad in _merges(rows):
+        if full:
+            bad += [(p, p) for S in (A, B) if len(S) == 1 for p in S if rows[p][p] > w]
+        for p, q in bad:
+            P, Q = rows[p], rows[q]
+            lhs = P[q]
+            for r in range(t.n):
+                if r != p and r != q and lhs > P[r] and lhs > Q[r]:
+                    found.append(Violation((p, q, r), lhs, max(P[r], Q[r])))
     found.sort(key=lambda v: (sorted(v.points), v.points))
     return ValidationReport(ok=not found, violations=tuple(found))
 

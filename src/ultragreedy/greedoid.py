@@ -116,16 +116,16 @@ def bhargava_greedoid(t: UltraTriple, cap: int = 16) -> SetSystem:
     cluster A and j in B scores at most f(i) + g(j) + D*i*j, f and g being
     the clusters' maximum perimeters by size.  Each cluster keeps {size:
     (maximum perimeter, members)}, and a merge keeps every union over the
-    splits of each size that attain the maximum.  At a merge with a cross
-    distance above D (`validate`'s bad pair; self-distances are not read)
-    the brute-force oracle takes over, level by level.  `cap` bounds both.
+    splits of each size that attain the maximum.  At a merge with a bad
+    pair, a cross distance above D (self-distances are not read), the
+    brute-force oracle takes over, level by level.  `cap` bounds both.
     """
     n = t.n
     if n > cap:
         raise ValueError(f"ground size {n} exceeds cap {cap}")
-    rows, best = _rows(t), {x: {0: (0, [0]), 1: (w, [1 << x])} for x, w in enumerate(t.weights)}
-    for D, A, B in _merges(rows):
-        if any(rows[p][q] > D for p in A for q in B):  # `validate`'s bad pair
+    best = {x: {0: (0, [0]), 1: (w, [1 << x])} for x, w in enumerate(t.weights)}
+    for D, A, B, bad in _merges(_rows(t)):
+        if bad:
             from .oracle import brute_max_perimeter
 
             levels = (brute_max_perimeter(t, range(n), k, cap).argmax for k in range(n + 1))

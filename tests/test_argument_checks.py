@@ -69,6 +69,10 @@ CASES = [
     # the command line
     pytest.param(cli("generate", "--family", "constant"), InputError, "--family constant needs --n", id="generate-constant"),
     pytest.param(
+        cli("generate", "--family", "constant", "--n", "2001"),
+        ValueError, "n=2001 must be at most 2000", id="generate-constant-n-cap",
+    ),
+    pytest.param(
         cli("generate", "--family", "padic", "--points", "0,1"),
         InputError, "--family padic needs --points and --p", id="generate-padic",
     ),
@@ -130,6 +134,7 @@ CASES = [
     pytest.param(cli("nu", "{file}", "--k", "6", file="parity"), ValueError, "k=6 out of range 1..5", id="nu-bar-k"),
     # constructions
     pytest.param(lambda: constant_triple(-1), ValueError, "n must be nonnegative", id="constant-negative-n"),
+    pytest.param(lambda: constant_triple(10**12), ValueError, "n=1000000000000 must be at most 2000", id="constant-n-cap"),
     pytest.param(lambda: rseq_triple([0, 1], [], [1]), ValueError, "r must be nonempty", id="rseq-empty-r"),
     pytest.param(lambda: rseq_triple([0, 1], [1, 2.0], [1, 0]), TypeError, "r entries must be integers, got 2.0", id="rseq-float-r"),
     pytest.param(

@@ -1411,10 +1411,8 @@ _P = _mostly(
     st.sampled_from(["2", "3", "5", str(2**61 - 1)]),
     st.sampled_from(["4", "9", "1", "0", "-2", str(2**89 - 1), str(10**30), "+2", "1.5"]),
 )
-# only --n stays small: `generate --family constant --n` has no size cap yet
-# (ROADMAP item 5), so a huge --n exhausts memory or time instead of exiting 2.
-# The bound leaves that gap documented, not hidden.  --depth and pordering's
-# --m are capped, and their draws go past the caps.
+# --n (held to 2000 for constant, 16 for random), --depth and pordering's --m
+# are capped, and their draws go past the caps.
 _SIZE = _mostly(st.integers(-1, 18).map(str), st.sampled_from(["", "+2", "1.5", "٣"]))
 _GENERATE_NEEDS = {
     "constant": ("--n",),
@@ -1425,7 +1423,9 @@ _GENERATE_NEEDS = {
     "random": ("--n",),
 }
 _GENERATE_OPTIONS = {
-    "--points": _lists(_INT), "--n": _SIZE, "--weights": _lists(_RAT), "--m": _mostly(_INT, _EDGE),
+    "--points": _lists(_INT),
+    "--n": _SIZE | st.sampled_from(["2001", str(10**12)]),
+    "--weights": _lists(_RAT), "--m": _mostly(_INT, _EDGE),
     "--eps": _mostly(_RAT, _EDGE), "--alpha": _mostly(_RAT, _EDGE), "--p": _P, "--r": _lists(_INT),
     "--c": _lists(_RAT), "--seed": _mostly(_INT, _EDGE),
     "--depth": _SIZE | st.sampled_from(["1000001", str(10**12)]),

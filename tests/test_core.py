@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,7 @@ from ultragreedy import (
     projections,
     random_ultra_triple,
     rational,
+    shift_distances,
     validate,
 )
 
@@ -249,13 +250,136 @@ class TestMerges:
         for t in triples:
             assert validate(t).ok
             met = []
-            for w, A, B in core._merges(core._rows(t)):
+            for w, A, B, bad in core._merges(core._rows(t)):
                 assert len(A) >= len(B) >= 1 and not set(A) & set(B)
+                assert bad == []
                 for p in A:
                     for q in B:
                         assert t.d(p, q) == w, (t, p, q)
                         met.append(frozenset((p, q)))
             assert len(met) == len(set(met)) == t.n * (t.n - 1) // 2
+
+    def test_merges_read_the_subdominant_ultrametric(self):
+        """Each pair meets once, at u(p, q), and is bad exactly when d(p, q) > u(p, q)."""
+        kinds = set()
+        for t in _random_tables(600, 1618):
+            u, met, found = _subdominant(t), {}, []
+            for w, A, B, bad in core._merges(core._rows(t)):
+                for p in A:
+                    for q in B:
+                        assert frozenset((p, q)) not in met
+                        met[frozenset((p, q))] = w
+                assert all(p < q and {p, q} & set(A) and {p, q} & set(B) for p, q in bad)
+                found += bad
+            pairs = list(combinations(t.points(), 2))
+            assert met == {frozenset((p, q)): u[p][q] for p, q in pairs}
+            assert sorted(found) == [(p, q) for p, q in pairs if t.d(p, q) > u[p][q]]
+            if validate(t).ok:
+                assert found == []
+            kinds.add((isinstance(t, FullUltraTriple), validate(t).ok))
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _subdominant(t):
+    """u[p][q]: the minimax path weight from p to q over the complete graph of
+    distinct points, by Floyd-Warshall in O(n**3); the diagonal is None."""
+    pts = t.points()
+    u = [[None if p == q else t.d(p, q) for q in pts] for p in pts]
+    for k in pts:
+        for p in pts:
+            for q in pts:
+                if k != p and k != q and p != q:
+                    u[p][q] = min(u[p][q], max(u[p][k], u[k][q]))
+    return u
+
+
+def _nearest(t):
+    """Each point's nearest-neighbour distance, 0 for a lone point."""
+    return [min((t.d(p, r) for r in t.points() if r != p), default=F(0)) for p in t.points()]
+
+
+def _random_tables(count, seed):
+    """Seeded tables with n <= 10 and small value ranges, so ties are frequent:
+    valid hierarchies, perturbed ones and arbitrary tables in turn.  Every
+    other one is full, each self-distance below, at, just above or far above
+    its point's nearest-neighbour distance."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n, kind = rng.randint(0, 10), i // 2 % 3
+        if kind == 2 or n == 0:
+            dist = [[F(rng.randint(-2, 4), rng.choice((1, 2))) for _ in range(a)] for a in range(n)]
+            t = UltraTriple(map(str, range(n)), (F(0),) * n, dist)
+        else:
+            t = _perturbed(rng, random_ultra_triple(rng.randrange(10**6), n), kind * rng.randint(0, 2))
+        if i % 2:
+            t = _with_dist(t, t.dist, [x + rng.choice((-1, 0, 0, F(1, 2), 3)) for x in _nearest(t)])
+        yield t
+
+
+class TestDiagonalThroughTheWalk:
+    """`validate` reads each self-distance at its point's singleton merge and
+    must report what the literal scan reports: violations, order, both sides."""
+
+    @staticmethod
+    def bases():
+        rng = random.Random(4)
+        yield from (constant_triple(5), padic_triple(range(9), 2), padic_log_triple(range(7), 3))
+        for seed in range(12):
+            t = random_ultra_triple(seed, 2 + seed % 7)
+            yield from (t, _perturbed(rng, t, 2))
+
+    @pytest.mark.parametrize("lift", [F(0), F(1, 10**6), F(10**6)], ids=["at", "just-above", "far-above"])
+    def test_selfdist_from_the_nearest_neighbour(self, lift):
+        for t in self.bases():
+            full = _with_dist(t, t.dist, [x + lift for x in _nearest(t)])
+            report = validate(full)
+            assert report == brute_validate(full)
+            if lift and validate(t).ok:
+                assert {v.points[:2] for v in report.violations} == {(p, p) for p in t.points()}
+
+    def test_tied_nearest_neighbours(self):
+        # every point has several nearest neighbours, and the next distance
+        # is not below its self-distance: each tie gives its own (p, p, r)
+        for t in (constant_triple(6), mod_triple(range(1, 10), 3, 1, 2)):
+            full = _with_dist(t, t.dist, [x + 1 for x in _nearest(t)])
+            report = validate(full)
+            assert report == brute_validate(full)
+            ties = sum(t.d(p, r) == x for p, x in enumerate(_nearest(t)) for r in t.points() if r != p)
+            assert len(report.violations) == ties > t.n
+
+    def test_both_sides_singletons(self):
+        # 0-1 and 2-3 merge first, each of two singletons; then the pairs merge
+        t = triple_of([0] * 4, {(0, 1): 1, (2, 3): 2, (0, 2): 5, (1, 2): 5, (0, 3): 5, (1, 3): 5})
+        t = _with_dist(t, t.dist, [F(3)] * 4)
+        singles = [(A[:], B[:]) for _, A, B, _ in core._merges(core._rows(t)) if len(A) == len(B) == 1]
+        assert singles == [([0], [1]), ([2], [3])]
+        report = validate(t)
+        assert report == brute_validate(t)
+        assert [v.points for v in report.violations] == [(0, 0, 1), (1, 1, 0), (2, 2, 3), (3, 3, 2)]
+        assert [(v.lhs, v.rhs) for v in report.violations] == [(3, 1), (3, 1), (3, 2), (3, 2)]
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny(self, n):
+        for selfdist in product((F(-1), F(0), F(1), F(2)), repeat=n):
+            t = FullUltraTriple(map(str, range(n)), (F(0),) * n, [(), (F(1),)][:n], selfdist)
+            assert validate(t) == brute_validate(t)
+            assert validate(t).ok == (n < 2 or max(selfdist) <= 1)
+
+    @pytest.mark.parametrize("R", [-1, 0, 1])
+    def test_shifted_distances(self, R):
+        for t in self.bases():
+            low = min(_nearest(t))
+            shifted = shift_distances(_with_dist(t, t.dist, [low] * t.n), R)
+            assert validate(shifted) == brute_validate(shifted)
+
+    def test_random_sweep(self):
+        invalid, full = 0, 0
+        for t in _random_tables(2400, 577):
+            report = validate(t)
+            assert report == brute_validate(t), t
+            invalid += not report.ok
+            full += isinstance(t, FullUltraTriple)
+        assert full == 1200 and 400 <= invalid <= 2000
 
 
 class TestPerimeterSet:
