@@ -10,6 +10,7 @@ full triples, and the N-clone transform of the tuple analogue.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain, count, repeat
@@ -30,23 +31,55 @@ def _int_points(points: Iterable[int]) -> list[int]:
     return pts
 
 
+def _meet_rows(n: int, value: Sequence, parent: Sequence[int], home: Iterable[int]) -> list:
+    """The distance rows of n points on a cluster tree, n held to 2000: node 0 is the root,
+    node x > 0 hangs under parent[x] < x, point i sits at node home[i], and a pair gets the
+    value object of the node where its points meet.  Each point joins its home node, then each
+    node its parent, and a join below the root writes each pair across it once: O(n**2 + nodes)."""
+    if n > 2000:
+        raise ValueError(f"n={n} must be at most 2000")
+    rows = [[value[0]] * a for a in range(n)]
+    below: list[list[int]] = [[] for _ in value]  # the points at or under each node yet to join, increasing
+    for i, x in enumerate(home):  # each point joins its home node after the points before it
+        if x:  # pairs meeting at the root keep the value their rows start at
+            row, v, A = rows[i], value[x], below[x]
+            for a in A:
+                row[a] = v
+            A.append(i)
+    for p in parent[:0:-1]:  # each node, highest index first, joins its parent, its list going as it does
+        B = below.pop()
+        if not (p and B):
+            continue
+        if A := below[p]:
+            v = value[p]
+            for S, L in (A, B), (B, A):  # each point writes its own row: |A| + |B| rows, |A|·|B| pairs
+                for b in S:
+                    row = rows[b]
+                    for a in L[: bisect(L, b)]:
+                        row[a] = v
+            B = sorted(A + B)  # two increasing runs: a linear merge
+        below[p] = B
+    for a, row in enumerate(rows):  # in place: never a second full table in memory
+        rows[a] = tuple(row)
+    return rows
+
+
 def _triple_from_blocks(pts: Sequence[int], c0, levels, weights) -> UltraTriple:
     """The triple on pts whose pairs sit at distance c0 unless a deeper block holds them.
 
     `levels` yields, level by level from level 1 on, one distance value and
-    the blocks (increasing index lists) that still hold two or more points;
-    each block overwrites the pairs it holds, so a pair ends at the value of
-    the last level keeping it together, and all such pairs share that object.
+    blocks of point indices that refine the level before; a block becomes a
+    node under the node that held its points one level up, so a pair gets the
+    value of the last level keeping it together, and all such pairs share that object.
     """
-    rows = [[c0] * a for a in range(len(pts))]
-    for value, blocks in levels:
+    value, parent, home = [c0], [0], [0] * len(pts)  # home: each point's deepest node so far
+    for v, blocks in levels:
         for block in blocks:
-            for k in range(1, len(block)):
-                row = rows[block[k]]
-                for j in block[:k]:
-                    row[j] = value
-    for a, row in enumerate(rows):  # in place: never a second full table in memory
-        rows[a] = tuple(row)
+            parent.append(home[next(iter(block))])
+            for e in block:
+                home[e] = len(value)
+            value.append(v)
+    rows = _meet_rows(len(pts), value, parent, home)
     return UltraTriple(tuple(map(str, pts)), _weights(len(pts), weights), rows)
 
 
@@ -75,9 +108,8 @@ def constant_triple(n: int, weights: Iterable | None = None) -> UltraTriple:
     """n points, all pairwise distances equal to 1; n is held to 2000."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > 2000:
-        raise ValueError(f"n={n} must be at most 2000")
-    return _triple_from_blocks(range(n), Fraction(1), (), weights)
+    rows = _meet_rows(n, [Fraction(1)], [0], repeat(0, n))  # the root alone, held before its labels exist
+    return UltraTriple(tuple(map(str, range(n))), _weights(n, weights), rows)
 
 
 def mod_triple(
@@ -181,10 +213,10 @@ class EquivHierarchy(_Record):
     c: tuple[Fraction, ...]
 
     def __init__(self, levels: Iterable[Iterable[Iterable[int]]], c: Iterable) -> None:
-        levels = tuple(
-            tuple(sorted((frozenset(block) for block in level), key=min))
-            for level in levels
-        )
+        levels = tuple(tuple(map(frozenset, level)) for level in levels)
+        if not all(map(all, levels)):  # before the sort by least point, which an empty block breaks
+            raise ValueError("levels must be partitions: disjoint nonempty blocks")
+        levels = tuple(tuple(sorted(level, key=min)) for level in levels)
         cs = tuple(rational(x) for x in c)
         if not levels:
             raise ValueError("need at least the trivial level")
@@ -197,7 +229,7 @@ class EquivHierarchy(_Record):
         for level in levels:
             seen: set[int] = set()
             for block in level:
-                if not block or (seen & block):
+                if seen & block:
                     raise ValueError("levels must be partitions: disjoint nonempty blocks")
                 seen |= block
             if seen != set(ground):
@@ -230,15 +262,10 @@ class EquivHierarchy(_Record):
 
 def eqrel_triple(h: EquivHierarchy, weights: Iterable | None = None) -> UltraTriple:
     """Distance c[i] where i is the last level keeping the two points together."""
-    n = h.n
     # c may stop at the last level with a block of two points; a single
     # point has no pairs and c may be empty
-    levels = (
-        (h.c[i], blocks)
-        for i, level in enumerate(h.levels[1:], 1)
-        if (blocks := [sorted(b) for b in level if len(b) > 1])
-    )
-    return _triple_from_blocks(range(n), h.c[0] if n > 1 else None, levels, weights)
+    levels = ([b for b in level if len(b) > 1] for level in h.levels[1:])  # a lone point meets no one
+    return _triple_from_blocks(range(h.n), h.c[0] if h.c else None, zip(h.c[1:], levels), weights)
 
 
 def random_ultra_triple(seed: int, n: int, depth: int = 3, weights: Iterable | None = None) -> UltraTriple:
@@ -270,7 +297,7 @@ def random_ultra_triple(seed: int, n: int, depth: int = 3, weights: Iterable | N
             buckets: dict[int, list[int]] = {}
             for e in block:
                 buckets.setdefault(rng.randrange(parts), []).append(e)
-            nxt += sorted((b for b in buckets.values() if len(b) > 1), key=lambda b: b[0])
+            nxt += [b for b in buckets.values() if len(b) > 1]
         levels.append(blocks := nxt)
     c = [Fraction(rng.randint(-2, 8), rng.choice((1, 1, 2)))]
     for _ in levels:
@@ -353,27 +380,17 @@ def tree_triple(t: WeightedTree) -> UltraTriple:
     for u, v, wt in t.edges:
         adj[u].append((v, wt))
         adj[v].append((u, wt))
-    depth, kids, order = {t.root: Fraction(0)}, {}, [t.root]
-    for x in order:  # grows as it goes: each vertex after its parent
-        kids[x] = {y: depth[x] + wt for y, wt in adj[x] if y not in depth}
-        depth.update(kids[x])
-        order += kids[x]
-    dist: list[list] = [[None] * i for i in range(len(t.leafset))]
-    below = {x: [i] for i, x in enumerate(t.leafset)}  # the points at or under each vertex
-    for x in reversed(order):  # each vertex after its children
-        A, meet = below.get(x, []), -2 * depth[x]
-        for y in kids[x]:
-            B = below.pop(y)
-            for b in B:
-                for a in A:
-                    dist[max(a, b)][min(a, b)] = meet
-            if len(A) < len(B):  # the smaller list moves, each copy paid for by a pair
-                A, B = B, A
-            A += B
-        below[x] = A
-    for a, row in enumerate(dist):  # in place: never a second full table in memory
-        dist[a] = tuple(row)
-    return UltraTriple(t.leafset, tuple(depth[x] for x in t.leafset), dist)
+    order, node, parent, depth = [t.root], {t.root: 0}, [0], [Fraction(0)]  # vertices numbered in BFS order
+    for k, x in enumerate(order):  # grows as it goes: each vertex after its parent
+        for y, wt in adj[x]:
+            if y not in node:
+                node[y] = len(order)
+                order.append(y)
+                parent.append(k)
+                depth.append(depth[k] + wt)
+    home = [node[x] for x in t.leafset]
+    dist = _meet_rows(len(home), [-2 * d for d in depth], parent, home)
+    return UltraTriple(t.leafset, tuple(depth[x] for x in home), dist)
 
 
 def extend_to_full(t: UltraTriple, N: int | str | Fraction) -> FullUltraTriple:

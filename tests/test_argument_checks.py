@@ -73,6 +73,10 @@ CASES = [
         ValueError, "n=2001 must be at most 2000", id="generate-constant-n-cap",
     ),
     pytest.param(
+        cli("generate", "--family", "padic", "--p", "2", "--points", ",".join(map(str, range(2001)))),
+        ValueError, "n=2001 must be at most 2000", id="generate-padic-n-cap",
+    ),
+    pytest.param(
         cli("generate", "--family", "padic", "--points", "0,1"),
         InputError, "--family padic needs --points and --p", id="generate-padic",
     ),
@@ -119,6 +123,10 @@ CASES = [
     pytest.param(
         cli("tree", "{file}", file="root r\nr a 1\na r 1\n"), InputError, ": edge (a, r) closes a cycle", id="tree-cycle",
     ),
+    pytest.param(
+        cli("tree", "{file}", file="root r\n" + "".join(f"r l{i} 1\n" for i in range(2001))),
+        ValueError, "n=2001 must be at most 2000", id="tree-n-cap",
+    ),
     pytest.param(cli("tree", "missing-tree.txt"), InputError, "cannot read missing-tree.txt", id="tree-missing-file"),
     pytest.param(
         cli("pordering", "--p", "2", "--points", ","), InputError, "--points must name at least one integer", id="points-empty",
@@ -159,6 +167,14 @@ CASES = [
     pytest.param(
         lambda: EquivHierarchy([[{0, 1}], [{0, 1}, {1}], [{0}, {1}]], [1, 1]),
         ValueError, "levels must be partitions", id="hierarchy-overlapping-blocks",
+    ),
+    pytest.param(
+        lambda: EquivHierarchy([[{0, 1}], [set(), {0}, {1}]], [1]),
+        ValueError, "levels must be partitions: disjoint nonempty blocks", id="eqrel-empty-block",
+    ),
+    pytest.param(
+        lambda: EquivHierarchy([[set(), {0, 1}], [{0}, {1}]], [1]),
+        ValueError, "levels must be partitions: disjoint nonempty blocks", id="eqrel-empty-block-level-0",
     ),
     pytest.param(
         lambda: EquivHierarchy([[{0, 1, 2}], [{0}, {1}]], [1]),

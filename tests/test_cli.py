@@ -1412,7 +1412,8 @@ _P = _mostly(
     st.sampled_from(["4", "9", "1", "0", "-2", str(2**89 - 1), str(10**30), "+2", "1.5"]),
 )
 # --n (held to 2000 for constant, 16 for random), --depth and pordering's --m
-# are capped, and their draws go past the caps.
+# are capped, and their draws go past the caps; so do --points, held to 2000
+# like every built triple.
 _SIZE = _mostly(st.integers(-1, 18).map(str), st.sampled_from(["", "+2", "1.5", "٣"]))
 _GENERATE_NEEDS = {
     "constant": ("--n",),
@@ -1423,7 +1424,7 @@ _GENERATE_NEEDS = {
     "random": ("--n",),
 }
 _GENERATE_OPTIONS = {
-    "--points": _lists(_INT),
+    "--points": _lists(_INT) | st.just(",".join(map(str, range(2001)))),
     "--n": _SIZE | st.sampled_from(["2001", str(10**12)]),
     "--weights": _lists(_RAT), "--m": _mostly(_INT, _EDGE),
     "--eps": _mostly(_RAT, _EDGE), "--alpha": _mostly(_RAT, _EDGE), "--p": _P, "--r": _lists(_INT),

@@ -8,6 +8,8 @@ from itertools import combinations
 import pytest
 
 from ultragreedy.bhargava import _vp_int
+from ultragreedy.constructions import _meet_rows
+from ultragreedy.core import _merges, _rows
 
 from ultragreedy import (
     EquivHierarchy,
@@ -203,6 +205,14 @@ class TestRseqSweep:
         t = rseq_triple(range(2000), r, c)
         assert time.perf_counter() - start < 2.0  # 0.17 s; the per-pair loop took 5.7 s
         assert t.dist == padic_triple(range(2000), 2).dist
+
+    def test_identical_levels_build_in_time(self):
+        # 200 levels that each keep every point together: each pair is written
+        # once, where its points part, not once per level
+        start = time.perf_counter()
+        t = rseq_triple(range(2000), [1] * 200, [1] * 200)
+        assert time.perf_counter() - start < 2.0  # 0.2 s; rewriting every level's pairs took about 7 s
+        assert t.dist == constant_triple(2000).dist
 
 
 class TestRandomWeights:
@@ -426,6 +436,101 @@ class TestBlockWriterSweep:
             )
             assert _shares_one_object_per_level(t, same_class)
             assert t.dist == _rseq_reference(pts, [1, m], [alpha, eps])
+
+
+def _meet_reference(value, parent, home):
+    """The rows by their definition: pair (a, b) gets the value of the first
+    ancestor of b's node that is also an ancestor of a's node."""
+
+    def ancestors(x):
+        path = [x]
+        while x:
+            x = parent[x]
+            path.append(x)
+        return path
+
+    up = [ancestors(x) for x in home]
+    above = [set(path) for path in up]
+    return [tuple(value[next(y for y in up[b] if y in above[a])] for b in range(a)) for a in range(len(home))]
+
+
+def _random_cluster_tree(rng):
+    """1-30 nodes under random earlier parents, 0-40 points on random nodes,
+    the root and internal nodes included, and one fresh object per node, so
+    that equal rows hold the very same objects."""
+    parent = [0] + [rng.randrange(x) for x in range(1, rng.randint(1, 30))]
+    home = [rng.randrange(len(parent)) for _ in range(rng.choice((0, 1, 2, rng.randint(3, 40))))]
+    return [object() for _ in parent], parent, home
+
+
+def _tree_of_merges(t):
+    """The cluster tree of t's single-linkage merges: merge j of m is node
+    m - 1 - j, under the merge that next takes in its cluster, and each point
+    sits at the first merge that takes it in; a node's value is its height."""
+    heights, up, first, latest = [], {}, {}, {}  # latest: the last merge of each cluster, named by A[0]
+    for j, (w, A, B, bad) in enumerate(_merges(_rows(t))):
+        assert bad == []
+        for side in A, B:
+            if side[0] in latest:
+                up[latest[side[0]]] = j
+            else:
+                first[side[0]] = j
+        latest[A[0]] = j
+        heights.append(w)
+    m = len(heights)
+    if not m:  # at most one point: the root alone
+        return [None], [0], [0] * t.n
+    return heights[::-1], [0] + [m - 1 - up[m - 1 - x] for x in range(1, m)], [m - 1 - first[i] for i in range(t.n)]
+
+
+class TestMeetRows:
+    """The one pair writer of every built triple, against an ancestor walk per pair."""
+
+    def test_matches_ancestor_walk(self):
+        rng = random.Random(2901)
+        seen: Counter = Counter()
+        for _ in range(2000):
+            value, parent, home = _random_cluster_tree(rng)
+            assert _meet_rows(len(home), value, parent, home) == _meet_reference(value, parent, home)
+            seen["root"] += 0 in home
+            seen["internal"] += bool(set(home) & set(parent[1:]) - {0})
+            seen[min(len(home), 3)] += 1
+        assert min(seen.values()) > 200, seen
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_root_alone(self, n):
+        v = object()
+        assert _meet_rows(n, [v], [0], [0] * n) == [(v,) * a for a in range(n)]
+
+    def test_identical_levels(self):
+        # 2,000 nodes in a chain with every point on the deepest: every pair meets there
+        value = [object() for _ in range(2000)]
+        assert _meet_rows(40, value, [0, *range(1999)], [1999] * 40) == [(value[-1],) * a for a in range(40)]
+
+    def test_chain_peeling_one_point_per_level(self):
+        # node k holds points k, k + 1, ...: point k leaves at node k, where it meets every later point
+        value = [object() for _ in range(300)]
+        assert _meet_rows(300, value, [0, *range(299)], range(300)) == [tuple(value[:a]) for a in range(300)]
+
+    def test_star(self):
+        # each point on its own node under the root: every pair meets at the root
+        value = [object() for _ in range(301)]
+        assert _meet_rows(300, value, [0] * 301, range(1, 301)) == [(value[0],) * a for a in range(300)]
+
+    def test_rebuilds_each_valid_triple_from_its_merges(self):
+        # Prim's walk in core and the writer, each checked by the other
+        rng = random.Random(2902)
+        for k in range(800):
+            if k % 4 == 0:
+                t = random_ultra_triple(rng.randrange(10**6), rng.randint(1, 16), rng.randint(1, 8))
+            elif k % 4 == 1:
+                t = padic_triple(_random_points(rng), rng.choice((2, 3, 5)))
+            elif k % 4 == 2:
+                t = eqrel_triple(_random_hierarchy(rng))
+            else:
+                t = tree_triple(_random_tree(rng))
+            value, parent, home = _tree_of_merges(t)
+            assert tuple(_meet_rows(t.n, value, parent, home)) == t.dist
 
 
 def _path_weights(tree, source):
