@@ -309,9 +309,10 @@ def _traces_json(
     per group, whose concatenation is exactly `json.dumps(doc, indent=2)`.
     A group's traces are picks + (x,) for each winner x, or picks alone.
 
-    The rendered increments and running sums are kept up to the first entry
-    that differs in the next group (equal Fractions print the same).  A
-    group's traces differ only in their last label: one join renders them.
+    Rendered increments and running sums are kept whole for an equal next
+    group, else up to its first entry that is not the same object: greedy's
+    set DAG makes a level's equal increments one object.  A group's traces
+    differ only in their last label: one join renders them.
     """
     labels = [encode_basestring_ascii(label) for label in t.labels]
     picked = [f"{label},\n        " for label in labels]  # a pick before the last
@@ -323,7 +324,7 @@ def _traces_json(
         if incs != kept:
             old = kept or ()
             k, top = 0, min(len(incs), len(old))
-            while k < top and (incs[k] is old[k] or incs[k] == old[k]):
+            while k < top and incs[k] is old[k]:
                 k += 1
             del sums[k + 1 :], inc_items[k:], sum_items[k:]
             for x in incs[k:]:

@@ -69,13 +69,19 @@ def _triple_from_blocks(pts: Sequence[int], c0, levels, weights) -> UltraTriple:
 
     `levels` yields, level by level from level 1 on, one distance value and
     blocks of point indices that refine the level before; a block becomes a
-    node under the node that held its points one level up, so a pair gets the
-    value of the last level keeping it together, and all such pairs share that object.
+    node under the node that held its points one level up, or, holding every
+    point of that node, gives it its value instead, so a pair gets the value of
+    the last level keeping it together, and all such pairs share that object.
     """
-    value, parent, home = [c0], [0], [0] * len(pts)  # home: each point's deepest node so far
+    value, parent, home, size = [c0], [0], [0] * len(pts), [len(pts)]  # home: each point's deepest node so far
     for v, blocks in levels:
         for block in blocks:
-            parent.append(home[next(iter(block))])
+            x = home[next(iter(block))]
+            if len(block) == size[x]:  # every point of x stays together: x takes the deeper value
+                value[x] = v
+                continue
+            parent.append(x)
+            size.append(len(block))
             for e in block:
                 home[e] = len(value)
             value.append(v)
@@ -97,8 +103,10 @@ def _chain_blocks(pts: list[int], moduli: Iterable[int]):
     along a divisibility chain a pair stays together exactly through the
     deepest modulus dividing its difference."""
     blocks: list = [range(len(pts))]
+    last = None
     for q in moduli:
-        blocks = [c for block in blocks for c in _classes(pts, block, q)]
+        if abs(q) != last:  # a repeated modulus keeps its classes
+            blocks, last = [c for block in blocks for c in _classes(pts, block, q)], abs(q)
         if not blocks:
             return
         yield blocks

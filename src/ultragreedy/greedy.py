@@ -169,8 +169,8 @@ def _set_dag(t: UltraTriple, C: Iterable[int], m: int, cap: float = math.inf) ->
     depends on the set picked, not on the order: the greedy m-permutations
     of C are the paths of a DAG whose level-k nodes are the sets (bitmasks)
     that greedy runs reach after k picks.  Level k maps each of its sets to
-    (best, winners): the set's maximum gain, one Fraction shared by every
-    path through the set, and the points attaining it, lowest index first.
+    (best, winners): the set's maximum gain, one Fraction object per value
+    within the level, and the points attaining it, lowest index first.
     Each set's gain vector is built once, by `_step` from the first set that
     reaches it; only two levels of them are alive, and level m's are never
     built.  Paths into each set are counted on the way.  Every set below
@@ -190,12 +190,12 @@ def _set_dag(t: UltraTriple, C: Iterable[int], m: int, cap: float = math.inf) ->
         if len(levels) == m:
             return levels, total
         grow = len(levels) + 1 < m
-        nodes, nxt, into = {}, {}, {}
+        nodes, nxt, into, share = {}, {}, {}, {}  # share: each increment value of the level -> its one object
         for A, vec in level.items():
             L, gains = vec
             top = max(gains.values())
             winners = [x for x, g in gains.items() if g == top]
-            nodes[A] = Fraction(top, L), winners
+            nodes[A] = share.setdefault(best := Fraction(top, L), best), winners
             runs = paths[A]
             for x in winners:
                 B = A | 1 << x
@@ -220,8 +220,8 @@ def _paths(
     set's winners, lowest index first: its paths are picks + (x,) for each
     winner x.  Only m = 0 gives a group with no winners, the one empty path.
     Depth-first on an explicit stack rather than the call stack, so no
-    depth hits the recursion limit.  Every path through a set shares its
-    `best` object, and the trace writer renders a group's traces in one join.
+    depth hits the recursion limit.  A level's equal increments are one
+    object, which is all that the trace writer's reuse test looks at.
     """
     if not levels:
         yield (), (), ()

@@ -255,13 +255,36 @@ class TestTraceWriter:
             _assert_writer_matches(t, "subsequence", [_one(greedy_subsequence(t, t.points(), m))])
 
     def test_every_m_on_a_constant_triple(self):
-        # every set ties, so every increment past the shared picks is equal
-        # to the previous group's but a distinct object
+        # every set ties, and the set DAG makes each level's equal increments
+        # one object, so every group reuses the last group's rendering whole
         t = _relabel(constant_triple(7))
         for m in range(t.n + 1):
             groups = _groups(t, t.points(), m)
             assert sum(len(winners) for _, _, winners in groups) == math.perm(7, m) or m == 0
             _assert_writer_matches(t, "permutation", groups)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_invalid_tie_heavy_triples(self, seed):
+        # three distances of a constant or a random valid triple moved: the
+        # sets of a level may then differ in their increment, so consecutive
+        # groups share their leading increment objects and differ past them,
+        # and the writer keeps only the shared prefix of its rendering
+        rng = random.Random(seed)
+        n = 5 + seed % 3
+        # weights 0 and 1 keep ties frequent
+        t = constant_triple(n) if seed % 2 else random_ultra_triple(seed, n, 2, [rng.randint(0, 1) for _ in range(n)])
+        rows = [list(row) for row in t.dist]
+        for _ in range(3):
+            a = rng.randrange(1, n)
+            rows[a][rng.randrange(a)] = Fraction(rng.randint(0, 4), 2)
+        t = _relabel(UltraTriple(t.labels, t.weights, rows))
+        partial = 0
+        for m in range(t.n + 1):
+            groups = _groups(t, t.points(), m)
+            for (_, old, _), (_, incs, _) in zip(groups, groups[1:]):
+                partial += 0 < next((k for k in range(m) if incs[k] is not old[k]), m) < m
+            _assert_writer_matches(t, "permutation", groups)
+        assert partial > 0
 
     def test_empty_selections(self):
         t = _relabel(padic_triple(range(4), 2))

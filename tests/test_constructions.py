@@ -214,6 +214,22 @@ class TestRseqSweep:
         assert time.perf_counter() - start < 2.0  # 0.2 s; rewriting every level's pairs took about 7 s
         assert t.dist == constant_triple(2000).dist
 
+    def test_repeated_moduli_build_in_time_and_memory(self):
+        # 20,000 levels of modulus 1: the classes are found once, and a level
+        # that keeps a node's points together gives the node its value, so
+        # neither time nor memory grows with the depth
+        ones = [1] * 20_000
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            t = rseq_triple(range(2000), ones, ones)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 2.0  # 0.35 s traced; 5,000 ones took 11.8 s
+        assert peak < 32 * 2**20  # 17.4 MiB, the table itself; 5,000 ones took 94 MiB
+        assert t.dist == constant_triple(2000).dist
+
 
 class TestRandomWeights:
     @pytest.mark.parametrize("seed", range(6))
@@ -294,6 +310,23 @@ class TestEqrel:
         )
         t = eqrel_triple(h)
         assert all(t.d(a, b) == F(5) for a, b in combinations(range(3), 2))
+
+    def test_a_repeated_level_gives_its_pairs_the_deeper_value(self):
+        # a level repeated whole adds no cluster: the rows are those of the
+        # hierarchy without the repeat, whose pairs take the deeper c
+        split = ({0, 1, 2}, {3, 4}, {5})
+        singles = tuple({e} for e in range(6))
+        h = EquivHierarchy([[set(range(6))], split, ({0, 1}, {2}, {3, 4}, {5}), singles], (F(4), F(2), F(1)))
+        h_repeat = EquivHierarchy(h.levels[:2] + (split,) + h.levels[2:], (F(4), F(3), F(2), F(1)))
+        t = eqrel_triple(h_repeat)
+        assert t.dist == eqrel_triple(h).dist
+        assert t.dist[2][0] is h_repeat.c[2]  # parts after the repeat, not after its first copy
+        assert t.dist[1][0] is t.dist[4][3] is h_repeat.c[3]
+        # the root repeated: every pair takes the deeper value, one object
+        whole = EquivHierarchy([[{0, 1, 2}], [{0, 1, 2}], singles[:3]], (F(3), F(2)))
+        t = eqrel_triple(whole)
+        assert t.dist == eqrel_triple(EquivHierarchy([[{0, 1, 2}], singles[:3]], (F(2),))).dist
+        assert all(x is whole.c[1] for row in t.dist for x in row)
 
     def test_congruence_hierarchy_matches_rseq(self):
         pts = list(range(6))

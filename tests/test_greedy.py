@@ -2,7 +2,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -34,6 +34,7 @@ from ultragreedy import (
     perimeter_set,
     perimeter_tuple,
     random_ultra_triple,
+    validate,
 )
 from ultragreedy import greedy as greedy_module
 from ultragreedy.cli import read_instance
@@ -43,6 +44,11 @@ F = Fraction
 
 def labels(t, seq):
     return tuple(t.labels[a] for a in seq)
+
+
+def _ties6():
+    """The invalid six-point golden instance, full of greedy ties."""
+    return read_instance(str(Path(__file__).parent / "golden" / "ties6.json"))
 
 
 class TestGreedyTrace:
@@ -215,7 +221,7 @@ class TestCountGreedyPermutations:
                 assert count_greedy_permutations(t, t.points(), m) == len(all_greedy_traces(t, t.points(), m))
 
     def test_matches_enumeration_on_invalid_triples(self):
-        ties6 = read_instance(str(Path(__file__).parent / "golden" / "ties6.json"))
+        ties6 = _ties6()
         rng = random.Random(1101)
         cases = [(ties6, ties6.points())]
         for _ in range(40):
@@ -281,7 +287,7 @@ def _path_cases():
     for p, n in ((2, 9), (3, 8), (5, 7)):
         t = padic_triple([rng.randrange(10**6) for _ in range(n)], p)
         cases += [(t, t.points()), (t, sorted(rng.sample(range(n), n - 2)))]
-    ties6 = read_instance(str(Path(__file__).parent / "golden" / "ties6.json"))
+    ties6 = _ties6()
     cases.append((ties6, ties6.points()))
     cases += [(constant_triple(n), range(n)) for n in range(7)]
     return [(t, list(C), m) for t, C in cases for m in range(len(C) + 1)]
@@ -685,11 +691,29 @@ class TestExactEngine:
         assert type(nu_bar(parity5, parity5.points(), 3)) is Fraction
         assert type(nu(parity5_full, parity5_full.points(), 3)) is Fraction
 
-    @pytest.mark.parametrize("t", [padic_triple(range(12), 2), _exact_cases()[24], constant_triple(4)])
+    @pytest.mark.parametrize("t", [padic_triple(range(12), 2), _exact_cases()[24], constant_triple(4), _ties6()])
     def test_paths_through_a_set_share_its_increment(self, t):
+        # at each level, (pi[k] is qi[k]) == (pi[k] == qi[k]) for any two
+        # paths: one object per increment value, and so one per set
         m = min(t.n, 4)
         paths = _expanded(greedy_module._set_dag(t, t.points(), m)[0])
         assert len(paths) > 1
-        for (p, pi), (q, qi) in combinations(paths, 2):
-            for k in range(m):
-                assert (pi[k] is qi[k]) == (set(p[:k]) == set(q[:k]))
+        for k in range(m):
+            by_value, by_set = {}, {}
+            for p, pi in paths:
+                by_value.setdefault(pi[k], set()).add(id(pi[k]))
+                by_set.setdefault(frozenset(p[:k]), set()).add(id(pi[k]))
+            assert all(len(ids) == 1 for ids in [*by_value.values(), *by_set.values()])
+
+    def test_valid_triples_have_one_increment_object_per_level(self):
+        # nu_bar does not depend on how ties are broken, so on a valid triple
+        # every set of a DAG level has the same maximum gain: one object
+        rng = random.Random(3001)
+        cases = [constant_triple(n, [rng.randint(0, 1) for _ in range(n)]) for n in range(1, 8)]
+        cases += [padic_triple(rng.sample(range(64), n), rng.choice((2, 3))) for n in range(1, 9)]
+        cases += [random_ultra_triple(seed, 1 + seed % 8, 1 + seed % 4) for seed in range(40)]
+        for t in cases:
+            assert validate(t).ok
+            for C in (t.points(), sorted(rng.sample(range(t.n), rng.randint(0, t.n)))):
+                levels = greedy_module._set_dag(t, C, len(C))[0]
+                assert [len({id(best) for best, _ in level.values()}) for level in levels] == [1] * len(C)
