@@ -1,11 +1,13 @@
 """Greedy maximum-perimeter analysis of finite ultrametric point sets.
 
-Every public name is loaded from its home module on first access, and
-`import ultragreedy.cli` registers the modules a command may use as lazy
-ones, so a CLI run executes only the modules its command uses.
+Every public name is loaded from its home module on first access, and a
+submodule not yet imported is handed out unexecuted, to run on its first
+attribute access, so a CLI run executes only the modules its command uses.
 """
 
+import sys
 from importlib import import_module
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
 
@@ -74,9 +76,19 @@ __all__ = sorted(_HOMES)
 
 
 def __getattr__(name: str) -> object:
-    if name not in _HOMES:
+    if name in _HOMES:
+        return getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    if name not in _HOMES.values():  # not a module that public names live in
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    full = f"{__name__}.{name}"
+    module = sys.modules.get(full)  # one still executing is not bound here yet
+    if module is None:
+        spec = find_spec(full)
+        spec.loader = LazyLoader(spec.loader)
+        module = sys.modules[full] = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    globals()[name] = module
+    return module
 
 
 def __dir__() -> list[str]:

@@ -7,7 +7,8 @@ stdout (or --out) and logs to stderr.  Exit codes: 0 success or property
 holds, 1 property fails, 2 usage or parse error, an --out that cannot be
 written, or stdout closed by its reader before all output was written.
 Each handler computes and returns its output and exit code; `main` alone
-writes the output and maps errors to exit codes.
+writes the output and maps errors to exit codes.  The package hands out
+its modules unexecuted, so a command runs only the modules it uses.
 
 A rational string is an integer or "p/q" with surrounding whitespace
 trimmed: ASCII digits, a minus sign only in front, and an unsigned
@@ -25,40 +26,16 @@ import re
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from importlib.util import LazyLoader, find_spec, module_from_spec
 from json.decoder import WHITESPACE, JSONArray, JSONObject
 from json.encoder import encode_basestring_ascii
 
+# imported here, not in the handlers: bench/tracer.py finds all four in
+# sys.modules right after `import ultragreedy.cli`
+from . import bhargava, core, greedoid, greedy
+
 TYPE_CHECKING = False  # type checkers read it as True; `typing` is never loaded
-
-
-def _lazy(name: str) -> ModuleType:
-    """The package module `name`, executed on its first attribute access,
-    so that a command compiles and runs only the modules it uses.
-
-    A module already imported is returned as it is (one of each class); a
-    new one is bound on the package, as an import binds it.  Not local
-    imports, because bench/tracer.py finds these four in sys.modules right
-    after `import ultragreedy.cli` to patch them.
-    """
-    full = f"{__package__}.{name}"
-    module = sys.modules.get(full)
-    if module is None:
-        spec = find_spec(full)
-        spec.loader = LazyLoader(spec.loader)
-        module = sys.modules[full] = module_from_spec(spec)
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
 if TYPE_CHECKING:
-    from types import ModuleType
-
-    from . import bhargava, core, greedoid, greedy
     from .constructions import WeightedTree
-else:
-    core, greedy, greedoid, bhargava = map(_lazy, ("core", "greedy", "greedoid", "bhargava"))
 
 
 class InputError(Exception):
@@ -247,7 +224,9 @@ def read_set_system(path: str, cap: int) -> greedoid.SetSystem:
         if not isinstance(sets, list) or not all(isinstance(f, list) for f in sets):
             raise ValueError("sets must be an array of arrays")
         return system.from_point_sets(ground, sets)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise InputError(f"{path}: bad set system: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad set system: {exc}") from None
 
 

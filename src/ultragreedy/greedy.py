@@ -297,7 +297,7 @@ def greedy_subsequence(t: FullUltraTriple, C: Iterable[int], m: int) -> GreedyTr
     if not isinstance(t, FullUltraTriple):
         raise TypeError("greedy subsequences need a full triple (self-distances)")
     pts = _subset(t, C)
-    if not pts:
+    if not pts and m > 0:
         raise ValueError("C must be nonempty")
     if m < 0:
         raise ValueError("m must be nonnegative")

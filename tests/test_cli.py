@@ -139,6 +139,17 @@ class TestGreedyCommand:
         assert code == 0
         assert len(json.loads(out)["traces"][0]["points"]) == 7
 
+    def test_subsequence_of_empty_subset(self, capsys, parity5_full_file):
+        # m defaults to |C| = 0: the one empty trace, as in permutation mode
+        code, out, err = run(capsys, "greedy", str(parity5_full_file), "--mode", "subseq", "--subset", "")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "mode": "subsequence",
+            "traces": [{"points": [], "increments": [], "prefix_perimeters": []}],
+        }
+        code, _, err = run(capsys, "greedy", str(parity5_full_file), "--mode", "subseq", "--subset", "", "--m", "1")
+        assert (code, err) == (2, "error: C must be nonempty\n")
+
     def test_subsequence_tie_enumeration_unsupported(self, capsys, parity5_full_file):
         code, _, _ = run(
             capsys, "greedy", str(parity5_full_file), "--mode", "subseq", "--ties", "all"
@@ -909,6 +920,14 @@ class TestReadInstance:
         path.write_text(json.dumps({"ground": 2, "sets": sets}))
         code, out, err = run(capsys, "greedoid", "--system", str(path))
         assert (code, out, err) == (2, "", f"error: {path}: bad set system: sets must be an array of arrays\n")
+
+    @pytest.mark.parametrize("doc, key", [({"sets": []}, "ground"), ({"ground": 2}, "sets")])
+    def test_set_system_names_a_missing_key(self, capsys, tmp_path, doc, key):
+        # worded as the instance reader words it
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "greedoid", "--system", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: bad set system: missing key '{key}'\n")
 
 
 class TestParsing:

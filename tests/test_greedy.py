@@ -369,6 +369,14 @@ class TestGreedySubsequence:
         with pytest.raises(ValueError):
             greedy_subsequence(parity5_full, [], 1)
 
+    def test_empty_candidates_give_the_empty_trace(self, parity5_full):
+        # as greedy_permutation, pm_ordering and the tuple oracle do with nothing to pick
+        tr = greedy_subsequence(parity5_full, [], 0)
+        assert (tr.points, tr.increments, tr.mode) == ((), (), "subsequence")
+        assert tr == greedy_subsequence(parity5_full, parity5_full.points(), 0)
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            greedy_subsequence(parity5_full, [], -1)
+
     def test_prefixes_attain_tuple_maxima(self):
         for seed in (0, 5, 9):
             base = random_ultra_triple(seed, 4)

@@ -34,19 +34,34 @@ def _fresh(code: str) -> dict:
 
 def test_cli_import_loads_only_what_commands_share():
     got = _fresh(
-        "import sys\n"
+        "import sys, types\n"
         "before = set(sys.modules)\n"
         "import ultragreedy.cli\n"
         "import json\n"
-        "print(json.dumps({'new': sorted(set(sys.modules) - before), 'all': sorted(sys.modules)}))\n"
+        "run = [n for n, m in sys.modules.items() if type(m) is types.ModuleType]\n"
+        "print(json.dumps({'new': sorted(set(sys.modules) - before), 'all': sorted(sys.modules), 'run': run}))\n"
     )
     for name in ("dataclasses", "inspect", "ultragreedy.constructions", "ultragreedy.oracle"):
         assert name not in got["new"], f"import ultragreedy.cli loaded {name}"
     # bench/tracer.py wraps the layer functions of these four modules right
     # after `import ultragreedy.cli`, finding each one in sys.modules: they
-    # must stay loaded by that import
+    # must stay registered by that import, and none of them has run yet
     for name in ("core", "greedy", "greedoid", "bhargava"):
         assert f"ultragreedy.{name}" in got["all"]
+        assert f"ultragreedy.{name}" not in got["run"]
+
+
+def test_package_hands_out_a_submodule_unexecuted():
+    got = _fresh(
+        "import json, sys, types\n"
+        "from ultragreedy import greedy\n"
+        "lazy = type(greedy) is not types.ModuleType and sys.modules['ultragreedy.greedy'] is greedy\n"
+        "import ultragreedy.greedy\n"
+        "same = ultragreedy.greedy is greedy\n"
+        "greedy.nu_bar\n"
+        "print(json.dumps([lazy, same, type(greedy) is types.ModuleType]))\n"
+    )
+    assert got == [True, True, True]
 
 
 # subcommand arguments (instance names under tests/golden) -> the exit code
