@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
+from . import constructions, greedy
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to all of _BASES (Sorenson and Webster 2015)
@@ -141,11 +142,6 @@ def check_equivalence(E: Iterable[int], p: int, seq: Sequence[int]) -> bool:
     -v_p triple over E and returns the shared verdict; a disagreement is an
     implementation bug, not a data condition, hence the hard error.
     """
-    # imported here: constructions imports this module at load time, and
-    # `pordering` never runs the greedy side
-    from .constructions import padic_log_triple
-    from .greedy import is_greedy_permutation
-
     _check_prime(p)
     pool = _pool(E)
     members = set(pool)
@@ -155,9 +151,9 @@ def check_equivalence(E: Iterable[int], p: int, seq: Sequence[int]) -> bool:
     if any(type(c) is not int or c not in members for c in entries):
         raise ValueError("sequence entries must lie in E")
     verdict_pm = _pm_walk(pool, p, entries, len(entries)) is not None
-    t = padic_log_triple(pool, p)
+    t = constructions.padic_log_triple(pool, p)
     index = {val: i for i, val in enumerate(pool)}
-    verdict_greedy = is_greedy_permutation(t, range(t.n), [index[c] for c in entries])
+    verdict_greedy = greedy.is_greedy_permutation(t, range(t.n), [index[c] for c in entries])
     if verdict_pm != verdict_greedy:
         raise RuntimeError(
             f"verdicts disagree on p={p}, E={pool}, seq={entries}: "

@@ -5,7 +5,8 @@ exactness survives serialization; the distance table is lower-triangular,
 making asymmetric input unrepresentable.  Every subcommand prints JSON to
 stdout (or --out) and logs to stderr.  Exit codes: 0 success or property
 holds, 1 property fails, 2 usage or parse error, an --out that cannot be
-written, or stdout closed by its reader before all output was written.
+written, or stdout closed (by its reader, or at start) before all output
+was written.
 Each handler computes and returns its output and exit code; `main` alone
 writes the output and maps errors to exit codes.  The package hands out
 its modules unexecuted, so a command runs only the modules it uses.
@@ -29,13 +30,9 @@ from fractions import Fraction
 from json.decoder import WHITESPACE, JSONArray, JSONObject
 from json.encoder import encode_basestring_ascii
 
-# imported here, not in the handlers: bench/tracer.py finds all four in
-# sys.modules right after `import ultragreedy.cli`
-from . import bhargava, core, greedoid, greedy
-
-TYPE_CHECKING = False  # type checkers read it as True; `typing` is never loaded
-if TYPE_CHECKING:
-    from .constructions import WeightedTree
+# the package hands out all five unexecuted; bench/tracer.py needs the four
+# besides constructions in sys.modules right after `import ultragreedy.cli`
+from . import bhargava, constructions, core, greedoid, greedy
 
 
 class InputError(Exception):
@@ -258,13 +255,24 @@ def _selection(args: argparse.Namespace, flag: str) -> tuple[core.UltraTriple, l
     return t, pts
 
 
+def _note(line: str) -> None:
+    """Print a line to stderr; with stderr closed (None) it is dropped, as
+    `print` would write it to stdout, which carries JSON alone."""
+    if sys.stderr is not None:
+        print(line, file=sys.stderr, flush=True)
+
+
 def _emit(text: str | Iterable[str], out: str | None) -> None:
     """Write text, or its chunks in order, and a newline to stdout or to out;
-    a file that cannot be written is an InputError."""
+    a file that cannot be written is an InputError, and a closed stdout
+    (None, or a reader gone) a BrokenPipeError."""
     chunks = (text,) if isinstance(text, str) else text
     if out is None:
+        if sys.stdout is None:
+            raise BrokenPipeError
         sys.stdout.writelines(chunks)
         sys.stdout.write("\n")
+        sys.stdout.flush()  # a closed pipe shows here, not in the final flush at exit
     else:
         try:
             with open(out, "w") as f:
@@ -272,7 +280,7 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
                 f.write("\n")
         except OSError as exc:
             raise InputError(f"cannot write {out}: {exc}") from None
-        print(f"wrote {out}", file=sys.stderr)
+        _note(f"wrote {out}")
 
 
 def _json_list(items: list[str]) -> str:
@@ -403,8 +411,6 @@ _OPTION_PARSERS = {"points": _int_list, "r": _int_list, "c": _rational_list, "ep
 
 
 def cmd_generate(args: argparse.Namespace) -> tuple[str, int]:
-    from . import constructions
-
     builder, needs, defaulted = _FAMILIES[args.family]
     weights = None if args.weights is None else _rational_list(args.weights, "--weights")
     if any(getattr(args, name) is None for name in needs):
@@ -419,9 +425,7 @@ def cmd_generate(args: argparse.Namespace) -> tuple[str, int]:
     return json.dumps(instance_document(t), indent=2), 0
 
 
-def parse_tree_file(path: str) -> WeightedTree:
-    from .constructions import WeightedTree
-
+def parse_tree_file(path: str) -> constructions.WeightedTree:
     lines = _read_text(path).splitlines()
     edges: list[tuple[str, str, Fraction]] = []
     root = None
@@ -458,15 +462,13 @@ def parse_tree_file(path: str) -> WeightedTree:
     if root is None:
         raise InputError(f"{path}: missing 'root' directive")
     try:
-        return WeightedTree(tuple(vertices), tuple(edges), root, leaves)
+        return constructions.WeightedTree(tuple(vertices), tuple(edges), root, leaves)
     except (ValueError, TypeError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
 def cmd_tree(args: argparse.Namespace) -> tuple[str, int]:
-    from .constructions import tree_triple
-
-    t = tree_triple(parse_tree_file(args.tree))
+    t = constructions.tree_triple(parse_tree_file(args.tree))
     return json.dumps(instance_document(t), indent=2), 0
 
 
@@ -477,7 +479,7 @@ def cmd_pordering(args: argparse.Namespace) -> tuple[str, int]:
     if args.check is not None:
         verdict = bhargava.is_pm_ordering(points, args.p, _int_list(args.check, "--check"))
         return json.dumps(verdict), 0 if verdict else 1
-    m = len(points) if args.m is None else args.m
+    m = len(set(points)) if args.m is None else args.m  # the library reads E as a set
     _hold(m, "m", "pordering")
     return json.dumps(bhargava.pm_ordering(points, args.p, m)), 0
 
@@ -561,21 +563,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         payload, code = args.handler(args)
         _emit(payload, args.out)
-        sys.stdout.flush()  # a closed pipe shows here, not in the final flush at exit
         return code
     except SystemExit as exc:  # argparse: a usage error or --help
         return int(exc.code or 0)
     except (InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 2
     except BrokenPipeError:
-        # the reader closed stdout early (and stderr, after `2>&1`): what is
-        # still buffered goes to the null device, so the flush at exit cannot
-        # fail again
+        # the reader closed stdout early (and stderr, after `2>&1`), or it was
+        # closed at start: what is still buffered goes to the null device, so
+        # the flush at exit cannot fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(devnull, sys.stdout.fileno())
         try:
-            print("error: stdout closed before all output was written", file=sys.stderr, flush=True)
+            _note("error: stdout closed before all output was written")
         except OSError:
             os.dup2(devnull, sys.stderr.fileno())
         os.close(devnull)

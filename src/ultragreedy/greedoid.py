@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import chain
 
+from . import oracle
 from .core import UltraTriple, _merges, _Record, _rows, perimeter_set, projections
 
 AXIOMS = ("i", "ii", "iii", "iv", "matroid-exchange")
@@ -126,9 +127,7 @@ def bhargava_greedoid(t: UltraTriple, cap: int = 16) -> SetSystem:
     best = {x: {0: (0, [0]), 1: (w, [1 << x])} for x, w in enumerate(t.weights)}
     for D, A, B, bad in _merges(_rows(t)):
         if bad:
-            from .oracle import brute_max_perimeter
-
-            levels = (brute_max_perimeter(t, range(n), k, cap).argmax for k in range(n + 1))
+            levels = (oracle.brute_max_perimeter(t, range(n), k, cap).argmax for k in range(n + 1))
             return SetSystem.from_point_sets(n, chain.from_iterable(levels))
         f, g, h = best[A[0]], best.pop(B[0]), {}
         for i, (fi, As) in f.items():

@@ -631,6 +631,11 @@ class TestPorderingCommand:
         code, out, _ = run(capsys, "pordering", "--p", "2", "--points=-3,5", "--check=-3,5")
         assert code == 0 and json.loads(out) is True
 
+    def test_default_length_counts_each_point_once(self, capsys):
+        # E is a set: a repeated point is one point, so the default m is |E|
+        assert run(capsys, "pordering", "--p", "2", "--points", "1,1,2") == (0, "[1, 2]\n", "")
+        assert run(capsys, "pordering", "--p", "2", "--points", "5,5") == (0, "[5]\n", "")
+
     def test_large_prime_p_ends_promptly(self, capsys):
         start = time.perf_counter()
         code, out, _ = run(capsys, "pordering", "--p", str(2**61 - 1), "--points", "1,2,3", "--m", "2")
@@ -1021,6 +1026,32 @@ class TestParsing:
             code = proc.wait(timeout=60)
         assert head.startswith(b'{\n  "mode": "permutation",')
         assert code == 2
+
+    @staticmethod
+    def _closed(fd, *args):
+        """Run the CLI with descriptor `fd` closed, as `>&-` or `2>&-` do in a
+        shell: the interpreter then sets sys.stdout or sys.stderr to None."""
+        argv = [sys.executable, "-m", "ultragreedy", *args]
+        proc = subprocess.run(argv, capture_output=True, text=True, preexec_fn=lambda: os.close(fd))
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_closed_stdout_exits_2_with_one_error_line(self, parity5_file):
+        got = self._closed(1, "validate", str(parity5_file))
+        assert got == (2, "", "error: stdout closed before all output was written\n")
+
+    def test_closed_stdout_keeps_the_exit_code_of_out(self, capsys, parity5_file, tmp_path):
+        out = tmp_path / "o.json"
+        assert self._closed(1, "validate", str(parity5_file), "--out", str(out)) == (0, "", f"wrote {out}\n")
+        assert out.read_text() == run(capsys, "validate", str(parity5_file))[1]
+        check = ("pordering", "--p", "2", "--points", "0,1", "--check", "5", "--out", str(out))
+        assert self._closed(1, *check) == (1, "", f"wrote {out}\n")
+        assert out.read_text() == "false\n"
+
+    def test_closed_stderr_keeps_its_lines_off_stdout(self, parity5_file, tmp_path):
+        out = tmp_path / "o.json"
+        assert self._closed(2, "validate", str(tmp_path / "missing.json")) == (2, "", "")
+        assert self._closed(2, "validate", str(parity5_file), "--out", str(out)) == (0, "", "")
+        assert json.loads(out.read_text())["ok"] is True
 
 
 def _outcome(decode, text):

@@ -41,14 +41,39 @@ def test_cli_import_loads_only_what_commands_share():
         "run = [n for n, m in sys.modules.items() if type(m) is types.ModuleType]\n"
         "print(json.dumps({'new': sorted(set(sys.modules) - before), 'all': sorted(sys.modules), 'run': run}))\n"
     )
-    for name in ("dataclasses", "inspect", "ultragreedy.constructions", "ultragreedy.oracle"):
+    for name in ("dataclasses", "inspect", "ultragreedy.oracle"):
         assert name not in got["new"], f"import ultragreedy.cli loaded {name}"
-    # bench/tracer.py wraps the layer functions of these four modules right
+    # bench/tracer.py wraps the layer functions of the first four modules right
     # after `import ultragreedy.cli`, finding each one in sys.modules: they
-    # must stay registered by that import, and none of them has run yet
-    for name in ("core", "greedy", "greedoid", "bhargava"):
+    # must stay registered by that import; `cli` imports all five at its top,
+    # and none of them has run yet
+    for name in ("core", "greedy", "greedoid", "bhargava", "constructions"):
         assert f"ultragreedy.{name}" in got["all"]
         assert f"ultragreedy.{name}" not in got["run"]
+
+
+def test_greedoid_import_registers_the_oracle_unexecuted():
+    got = _fresh(
+        "import json, sys, types\n"
+        "import ultragreedy.greedoid\n"
+        "oracle = sys.modules.get('ultragreedy.oracle')\n"
+        "print(json.dumps([oracle is not None, type(oracle) is types.ModuleType]))\n"
+    )
+    assert got == [True, False]
+
+
+@pytest.mark.parametrize("first", ["constructions", "bhargava"])
+def test_bhargava_and_constructions_load_in_either_order(first):
+    # each imports the other at its top: constructions takes two helpers from
+    # bhargava, and bhargava's check_equivalence builds a constructions triple
+    got = _fresh(
+        "import json, sys\n"
+        f"import ultragreedy.{first}\n"
+        "from ultragreedy.bhargava import check_equivalence\n"
+        "print(json.dumps([check_equivalence([0, 1, 2, 3], 2, [0, 1, 2, 3]),\n"
+        "                  check_equivalence([0, 1, 2, 3], 2, [0, 2, 1, 3])]))\n"
+    )
+    assert got == [True, False]
 
 
 def test_package_hands_out_a_submodule_unexecuted():
