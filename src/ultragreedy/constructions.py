@@ -14,6 +14,7 @@ from bisect import bisect
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain, count, repeat
+from operator import lt
 
 from .bhargava import _check_prime, _pool
 from .core import FullUltraTriple, UltraTriple, _Record, rational
@@ -31,13 +32,18 @@ def _int_points(points: Iterable[int]) -> list[int]:
     return pts
 
 
+def _hold(n: int) -> None:
+    """Every built triple is held to 2000 points, before its rows, or any draw, are made."""
+    if n > 2000:
+        raise ValueError(f"n={n} must be at most 2000")
+
+
 def _meet_rows(n: int, value: Sequence, parent: Sequence[int], home: Iterable[int]) -> list:
     """The distance rows of n points on a cluster tree, n held to 2000: node 0 is the root,
     node x > 0 hangs under parent[x] < x, point i sits at node home[i], and a pair gets the
     value object of the node where its points meet.  Each point joins its home node, then each
     node its parent, and a join below the root writes each pair across it once: O(n**2 + nodes)."""
-    if n > 2000:
-        raise ValueError(f"n={n} must be at most 2000")
+    _hold(n)
     rows = [[value[0]] * a for a in range(n)]
     below: list[list[int]] = [[] for _ in value]  # the points at or under each node yet to join, increasing
     for i, x in enumerate(home):  # each point joins its home node after the points before it
@@ -160,6 +166,13 @@ def padic_log_triple(points: Iterable[int], p: int, weights: Iterable | None = N
     return _triple_from_blocks(pts, Fraction(0), levels, weights)
 
 
+def _decreasing(cs: Sequence[Fraction]) -> Sequence[Fraction]:
+    """cs itself, once its per-level distances are known to be weakly decreasing."""
+    if any(map(lt, cs, cs[1:])):
+        raise ValueError("c must be weakly decreasing")
+    return cs
+
+
 def _divides(a: int, b: int) -> bool:
     # divisibility by 0 means "equals 0"
     if a == 0:
@@ -189,10 +202,7 @@ def rseq_triple(
     for i in range(len(rs) - 1):
         if not _divides(rs[i], rs[i + 1]):
             raise ValueError(f"divisibility chain broken: {rs[i]} does not divide {rs[i + 1]}")
-    cs = [rational(x) for x in c]
-    for i in range(len(cs) - 1):
-        if cs[i] < cs[i + 1]:
-            raise ValueError("c must be weakly decreasing")
+    cs = _decreasing([rational(x) for x in c])
     pts = _int_points(points)
     n, L = len(pts), len(cs)
     chain = list(_chain_blocks(pts, rs[: L + 1]))  # the blocks mod r0, ..., r_L
@@ -228,44 +238,32 @@ class EquivHierarchy(_Record):
         cs = tuple(rational(x) for x in c)
         if not levels:
             raise ValueError("need at least the trivial level")
-        ground = frozenset().union(*levels[0]) if levels[0] else frozenset()
+        ground = frozenset().union(*levels[0])
         n = len(ground)
         if ground != frozenset(range(n)) or n < 1:
             raise ValueError("level 0 must cover points 0..n-1 for some n >= 1")
         if len(levels[0]) != 1:
             raise ValueError("level 0 must be a single block")
-        for level in levels:
-            seen: set[int] = set()
-            for block in level:
-                if seen & block:
-                    raise ValueError("levels must be partitions: disjoint nonempty blocks")
-                seen |= block
-            if seen != set(ground):
+        for level in levels:  # every level, so no refinement error comes before a partition error
+            union = frozenset().union(*level)
+            if sum(map(len, level)) != len(union):
+                raise ValueError("levels must be partitions: disjoint nonempty blocks")
+            if union != ground:
                 raise ValueError("every level must partition the same ground set")
         for prev, cur in zip(levels, levels[1:]):
-            ids = {}
-            for bid, block in enumerate(prev):
-                for e in block:
-                    ids[e] = bid
-            for block in cur:
-                if len({ids[e] for e in block}) != 1:
-                    raise ValueError("each level must refine the previous one")
-        if any(len(block) > 1 for block in levels[-1]):
+            owner = {e: block for block in prev for e in block}
+            if not all(block <= owner[next(iter(block))] for block in cur if len(block) > 1):
+                raise ValueError("each level must refine the previous one")
+        if len(levels[-1]) != n:
             raise ValueError("the last level must separate every pair of points")
-        needed = 0
-        for i, level in enumerate(levels):
-            if any(len(block) > 1 for block in level):
-                needed = i + 1
+        needed = sum(len(level) < n for level in levels)  # a prefix: each level refines the one before
         if len(cs) < needed:
             raise ValueError(f"c needs at least {needed} entries, got {len(cs)}")
-        for i in range(len(cs) - 1):
-            if cs[i] < cs[i + 1]:
-                raise ValueError("c must be weakly decreasing")
-        self._set(levels, cs)
+        self._set(levels, _decreasing(cs))
 
     @property
     def n(self) -> int:
-        return sum(len(block) for block in self.levels[0])
+        return len(self.levels[0][0])
 
 
 def eqrel_triple(h: EquivHierarchy, weights: Iterable | None = None) -> UltraTriple:
@@ -282,15 +280,17 @@ def random_ultra_triple(seed: int, n: int, depth: int = 3, weights: Iterable | N
     Draws a random refinement chain of partitions with weakly decreasing
     per-level distances; validity is then automatic.  The blocks holding a
     pair are written as drawn, so a call costs O(n**2) plus one draw pair
-    per level of `depth`, which is held to 10**6.  Small value ranges
+    per level of `depth`, which is held to 10**6; n is held to 2000, as every
+    built triple is, before the first draw.  Small value ranges
     keep ties frequent, which the tie-sensitive greedy properties need.
     The weights are drawn last, so given weights replace them and leave the
     distances of the seed as they are.
     """
     import random  # here: no other builder loads it
 
-    if not 1 <= n <= 16:
-        raise ValueError(f"n={n} must be between 1 and 16")
+    if n < 1:
+        raise ValueError(f"n={n} must be at least 1")
+    _hold(n)
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if depth > 10**6:

@@ -106,6 +106,14 @@ CASES = [
         ValueError, "expected 7 weights, got 2", id="generate-random-weight-count",
     ),
     pytest.param(
+        cli("generate", "--family", "random", "--n", "0"),
+        ValueError, "n=0 must be at least 1", id="generate-random-n-zero",
+    ),
+    pytest.param(
+        cli("generate", "--family", "random", "--n", "2001"),
+        ValueError, "n=2001 must be at most 2000", id="generate-random-n-hold",
+    ),
+    pytest.param(
         cli("generate", "--family", "random", "--n", "2", "--depth", "0"),
         ValueError, "depth must be at least 1", id="generate-random-depth-zero",
     ),

@@ -1484,9 +1484,9 @@ _P = _mostly(
     st.sampled_from(["2", "3", "5", str(2**61 - 1)]),
     st.sampled_from(["4", "9", "1", "0", "-2", str(2**89 - 1), str(10**30), "+2", "1.5"]),
 )
-# --n (held to 2000 for constant, 16 for random), --depth and pordering's --m
+# --n (held to 2000 like every built triple), --depth and pordering's --m
 # are capped, and their draws go past the caps; so do --points, held to 2000
-# like every built triple.
+# too.
 _SIZE = _mostly(st.integers(-1, 18).map(str), st.sampled_from(["", "+2", "1.5", "٣"]))
 _GENERATE_NEEDS = {
     "constant": ("--n",),

@@ -9,7 +9,7 @@ import pytest
 
 from ultragreedy.bhargava import _vp_int
 from ultragreedy.constructions import _meet_rows
-from ultragreedy.core import _merges, _rows
+from ultragreedy.core import _merges, _rows, rational
 
 from ultragreedy import (
     EquivHierarchy,
@@ -367,6 +367,204 @@ class TestEqrel:
             (F(4), F(1)),
         )
         assert validate(eqrel_triple(h)).ok
+
+
+def _hierarchy_reference(levels, c):
+    """EquivHierarchy's checks as they were before its two set-operation scans:
+    one pass per level for disjointness and ground, one id map per refinement
+    step, and index loops for the deepest joined level and decreasing c.
+    Returns the (levels, c) it would store, or raises its error."""
+    levels = tuple(tuple(map(frozenset, level)) for level in levels)
+    if not all(map(all, levels)):
+        raise ValueError("levels must be partitions: disjoint nonempty blocks")
+    levels = tuple(tuple(sorted(level, key=min)) for level in levels)
+    cs = tuple(rational(x) for x in c)
+    if not levels:
+        raise ValueError("need at least the trivial level")
+    ground = frozenset().union(*levels[0]) if levels[0] else frozenset()
+    n = len(ground)
+    if ground != frozenset(range(n)) or n < 1:
+        raise ValueError("level 0 must cover points 0..n-1 for some n >= 1")
+    if len(levels[0]) != 1:
+        raise ValueError("level 0 must be a single block")
+    for level in levels:
+        seen: set[int] = set()
+        for block in level:
+            if seen & block:
+                raise ValueError("levels must be partitions: disjoint nonempty blocks")
+            seen |= block
+        if seen != set(ground):
+            raise ValueError("every level must partition the same ground set")
+    for prev, cur in zip(levels, levels[1:]):
+        ids = {}
+        for bid, block in enumerate(prev):
+            for e in block:
+                ids[e] = bid
+        for block in cur:
+            if len({ids[e] for e in block}) != 1:
+                raise ValueError("each level must refine the previous one")
+    if any(len(block) > 1 for block in levels[-1]):
+        raise ValueError("the last level must separate every pair of points")
+    needed = 0
+    for i, level in enumerate(levels):
+        if any(len(block) > 1 for block in level):
+            needed = i + 1
+    if len(cs) < needed:
+        raise ValueError(f"c needs at least {needed} entries, got {len(cs)}")
+    for i in range(len(cs) - 1):
+        if cs[i] < cs[i + 1]:
+            raise ValueError("c must be weakly decreasing")
+    return levels, cs
+
+
+def _hierarchy_outcome(build, levels, c):
+    """The (levels, c) build stores, or "<type>: <message>" of what it raises."""
+    try:
+        got = build(levels, c)
+    except (ValueError, TypeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return (got.levels, got.c) if isinstance(got, EquivHierarchy) else got
+
+
+_PARTITION_FAULTS = ("overlap", "missing", "extra")
+_HIERARCHY_FAULTS = _PARTITION_FAULTS + ("non-refining", "unseparated", "short-c", "increasing-c")
+_HIERARCHY_ERRORS = (
+    "need at least the trivial level",
+    "level 0 must cover",
+    "level 0 must be a single block",
+    "levels must be partitions",
+    "every level must partition",
+    "each level must refine",
+    "the last level must separate",
+    "c needs at least",
+    "c must be weakly decreasing",
+)
+
+
+def _break_hierarchy(rng, levels, c, fault):
+    """Apply one named fault in place, at a random level; return that level's index."""
+    i = rng.randrange(len(levels))
+    level = levels[i]
+    full = [block for block in level if block]  # a block a fault emptied takes no other
+    if fault == "overlap" and full:  # a point a second time, in another block or a block of its own
+        e = rng.choice(rng.choice(full))
+        others = [block for block in level if e not in block]
+        if others:
+            rng.choice(others).append(e)
+        else:
+            level.append([e])
+    elif fault == "missing" and full:  # may empty its block
+        block = rng.choice(full)
+        block.remove(rng.choice(block))
+    elif fault == "extra":  # a point outside 0..n-1
+        n = 1 + max((e for block in levels[0] for e in block), default=0)
+        rng.choice(level).append(rng.choice((n, n + 1, -1)))
+    elif fault == "non-refining":  # one point moved to another block of a level past level 0
+        i = rng.randrange(1, len(levels)) if len(levels) > 1 else 0
+        level = levels[i]
+        if len(level) > 1:
+            a, b = rng.sample(range(len(level)), 2)
+            if level[a]:
+                level[b].append(level[a].pop(rng.randrange(len(level[a]))))
+            if not level[a]:
+                del level[a]
+    elif fault == "unseparated":  # the last level dropped, or two of its points joined
+        i = len(levels) - 1
+        if len(levels) > 1 and rng.random() < 0.5:
+            del levels[-1]
+        elif len(levels[-1]) > 1:
+            a, b = sorted(rng.sample(range(len(levels[-1])), 2))
+            levels[-1][a] += levels[-1].pop(b)
+    elif fault == "short-c":
+        i = len(c)
+        if c:
+            del c[rng.randrange(len(c)) :]
+    else:  # "increasing-c"
+        i = len(c)
+        if c:
+            j = rng.randrange(len(c))
+            c[j] += rng.choice((F(1, 3), 1, 5))
+        else:
+            c.append(F(1))
+    return i
+
+
+def _random_hierarchy_case(rng):
+    """A valid chain on 1-10 points as lists, its blocks in random order, and
+    then, three times in four, one to three faults at random levels.  Returns
+    the levels, c and the (fault, level) pairs applied."""
+    n = rng.randint(1, 10)
+    levels = [[list(range(n))]]
+    for _ in range(rng.randint(0, 4)):
+        nxt = []
+        for block in levels[-1]:
+            parts: dict[int, list[int]] = {}
+            for e in block:
+                parts.setdefault(rng.randrange(rng.randint(1, 3)), []).append(e)
+            nxt += parts.values()
+        levels.append(nxt)
+    levels.append([[e] for e in range(n)])
+    for level in levels:
+        rng.shuffle(level)
+    c, value = [], F(rng.randint(5, 9), rng.randint(1, 2))
+    for _ in range(len(levels) - 1 + rng.randint(0, 1)):
+        c.append(value)
+        value -= rng.choice((0, 0, F(1, rng.randint(1, 3))))
+    faults = []
+    if rng.random() < 0.75:
+        for fault in rng.choices(_HIERARCHY_FAULTS, k=rng.choice((1, 1, 2, 3))):
+            faults.append((fault, _break_hierarchy(rng, levels, c, fault)))
+    return levels, c, faults
+
+
+class TestHierarchySweep:
+    """EquivHierarchy against the level-by-level checks it replaced."""
+
+    def test_matches_reference(self):
+        rng = random.Random(3301)
+        seen: Counter = Counter()
+        for _ in range(24_000):
+            levels, c, faults = _random_hierarchy_case(rng)
+            want = _hierarchy_outcome(_hierarchy_reference, levels, c)
+            assert _hierarchy_outcome(EquivHierarchy, levels, c) == want, (levels, c)
+            outcome = next((m for m in _HIERARCHY_ERRORS if m in want), None) if isinstance(want, str) else "valid"
+            seen[outcome] += 1
+            seen[len(faults) > 1] += 1
+            for fault, _ in faults:
+                seen[fault] += 1
+            # a partition fault below a non-refining level: the partition error comes first
+            refine = [i for fault, i in faults if fault == "non-refining"]
+            if refine and any(f in _PARTITION_FAULTS and i > min(refine) for f, i in faults):
+                seen["partition below refinement", outcome] += 1
+        assert seen["valid"] > 4000 and seen[True] > 4000  # valid, and several faults at once
+        for fault in _HIERARCHY_FAULTS:
+            assert seen[fault] > 1500, fault
+        for message in _HIERARCHY_ERRORS[1:]:  # every message but the one for no levels at all
+            assert seen[message] > 500, message
+        assert seen["partition below refinement", "levels must be partitions"] > 100
+        assert seen["partition below refinement", "every level must partition"] > 100
+
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            ([{0}, {1}, {2}, {3, 0}], "levels must be partitions: disjoint nonempty blocks"),
+            ([{0}, {1}, {2}], "every level must partition the same ground set"),
+            ([{0}, {1}, {2}, {3}, {4}], "every level must partition the same ground set"),
+            ([{0}, {1}, set(), {2}, {3}], "levels must be partitions: disjoint nonempty blocks"),
+        ],
+        ids=["overlap", "missing-point", "extra-point", "empty-block"],
+    )
+    def test_a_later_partition_error_wins_over_an_earlier_refinement_error(self, last, message):
+        # level 2 does not refine level 1, and level 3 is no partition of 0..3
+        levels = [[{0, 1, 2, 3}], [{0, 1}, {2, 3}], [{0, 2}, {1}, {3}], last]
+        with pytest.raises(ValueError) as exc:
+            _hierarchy_reference(levels, [3, 2, 1])
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            EquivHierarchy(levels, [3, 2, 1])
+        assert str(exc.value) == message
+        with pytest.raises(ValueError, match="each level must refine the previous one"):
+            EquivHierarchy(levels[:3] + [[{0}, {1}, {2}, {3}]], [3, 2, 1])
 
 
 def _random_hierarchy(rng: random.Random) -> EquivHierarchy:

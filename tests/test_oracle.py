@@ -107,12 +107,24 @@ class TestRandomUltraTriple:
             assert validate(random_ultra_triple(seed, n)).ok
 
     def test_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n=0 must be at least 1"):
             random_ultra_triple(0, 0)
-        with pytest.raises(ValueError):
-            random_ultra_triple(0, 17)
+        with pytest.raises(ValueError, match="n=2001 must be at most 2000"):
+            random_ultra_triple(0, 2001)
         with pytest.raises(ValueError):
             random_ultra_triple(0, 4, depth=0)
+
+    def test_held_before_the_first_draw(self):
+        # the shared 2000-point hold comes before the O(n) draws, so a huge n is refused at once
+        with pytest.raises(ValueError, match=f"n={10**12} must be at most 2000"):
+            random_ultra_triple(0, 10**12)
+
+    @pytest.mark.parametrize("n", [17, 300])
+    def test_past_sixteen_points_valid_and_seeded(self, n):
+        t = random_ultra_triple(11, n, 4)
+        assert t.n == n and validate(t).ok
+        assert random_ultra_triple(11, n, 4) == t
+        assert random_ultra_triple(12, n, 4) != t
 
     def test_tie_richness_regression(self):
         # frozen counts: enough tie structure to exercise enumeration paths
