@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import FullUltraTriple, UltraTriple, _Record, _subset
 
@@ -49,12 +50,7 @@ class GreedyTrace(_Record):
         return len(self.points)
 
     def prefix_perimeters(self) -> tuple[Fraction, ...]:
-        out: list[Fraction] = []
-        total = Fraction(0)
-        for inc in self.increments:
-            total += inc
-            out.append(total)
-        return tuple(out)
+        return tuple(accumulate(self.increments, initial=Fraction(0)))[1:]
 
 
 def _scaled(L: int, gains: dict[int, int], adds: dict[int, Fraction]) -> tuple[int, dict[int, int]]:

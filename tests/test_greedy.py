@@ -68,6 +68,11 @@ class TestGreedyTrace:
         tr = GreedyTrace((0, 1, 2), (F(1), F(2), F(3)), "permutation")
         assert tr.prefix_perimeters() == (F(1), F(3), F(6))
 
+    def test_prefix_perimeters_of_int_increments_are_fractions(self):
+        tr = GreedyTrace((0, 1), (1, 2), "permutation")
+        sums = tr.prefix_perimeters()
+        assert sums == (1, 3) and all(type(x) is Fraction for x in sums)
+
 
 class TestGreedyPermutation:
     def test_parity5_first_pair(self, parity5):
