@@ -434,10 +434,11 @@ def clone_triple(t: FullUltraTriple, N: int) -> FullUltraTriple:
     index: its row repeats d(e, f) for the N copies of each f < e, then
     selfdist(e) for the i - 1 copies of e before it.  Greedy m-subsequences
     of a subset correspond to greedy m-permutations over its copies whenever
-    N >= m.
+    N >= m.  The n*N copies are held to 2000, as every built triple is.
     """
     if not isinstance(N, int) or isinstance(N, bool) or N < 1:
         raise ValueError("N must be a positive integer")
+    _hold(t.n * N)
 
     def copies(xs: Iterable[Fraction]) -> tuple[Fraction, ...]:
         return tuple(chain.from_iterable(map(repeat, xs, repeat(N))))  # each entry N times over, in order

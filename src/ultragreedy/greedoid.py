@@ -29,6 +29,8 @@ def mask_from_points(pts: Iterable[int]) -> int:
 
 def points_from_mask(mask: int) -> tuple[int, ...]:
     # one step per member point (lowest set bit first), not per bit position
+    if mask < 0:
+        raise ValueError(f"mask {_shown(mask)} is negative")
     out = []
     while mask:
         low = mask & -mask
@@ -149,30 +151,27 @@ def check_axiom_i(s: SetSystem) -> AxiomReport:
     return AxiomReport("i", False, {"missing": ()})
 
 
-def _exchange_maps(s: SetSystem) -> tuple[dict[int, int], dict[int, int]]:
+def _extensions(s: SetSystem) -> dict[int, int]:
     """One pass over the members: `ext[D]` holds every y with D + y a member,
-    for each D one element short of a member; `dele[B]` holds every x in
-    the member B with B - x a member.  Each axiom below then costs a few
-    ANDs per pair of members instead of a membership scan per point."""
+    for each D one element short of a member.  Each axiom below then costs a
+    few ANDs per pair of members instead of a membership scan per point."""
     ext: dict[int, int] = {}
-    dele: dict[int, int] = {}
     for B in s.sets:
-        down = 0
         for x in points_from_mask(B):
-            bit = 1 << x
-            D = B ^ bit
-            ext[D] = ext.get(D, 0) | bit
-            if D in s.sets:
-                down |= bit
-        dele[B] = down
-    return ext, dele
+            D = B ^ 1 << x
+            ext[D] = ext.get(D, 0) | 1 << x
+    return ext
+
+
+def _deletions(s: SetSystem, B: int) -> int:
+    """The mask of the x in the member B with B - x a member."""
+    return mask_from_points(x for x in points_from_mask(B) if B ^ 1 << x in s.sets)
 
 
 def check_axiom_ii(s: SetSystem) -> AxiomReport:
     """Every nonempty member must stay in the system after deleting some element."""
-    _, dele = _exchange_maps(s)
     for B in s.members():
-        if B and not dele[B]:
+        if B and not _deletions(s, B):
             return AxiomReport("ii", False, {"B": points_from_mask(B)})
     return AxiomReport("ii", True)
 
@@ -181,12 +180,12 @@ def _check_pairs(s: SetSystem, axiom: str) -> AxiomReport:
     """Axiom (iii), or (iv) when axiom is "iv": the first pair of members
     (A, B) with |B| = |A|+1 and no x in B - A extending A (and, for (iv),
     also leaving B - x) inside the system is the witness."""
-    ext, dele = _exchange_maps(s)
+    ext = _extensions(s)
     levels = s.levels()
     for k, As in levels.items():
         exts = [(A, ext.get(A, 0)) for A in As]
         for B in levels.get(k + 1, ()):
-            mask = B & dele[B] if axiom == "iv" else B
+            mask = _deletions(s, B) if axiom == "iv" else B
             for A, e in exts:
                 if not mask & e:
                     return AxiomReport(axiom, False, {"A": points_from_mask(A), "B": points_from_mask(B)})
@@ -219,7 +218,7 @@ def check_matroid_bases(s: SetSystem) -> AxiomReport:
         raise ValueError(f"members have mixed cardinalities {list(levels)}")
     if not levels:
         return AxiomReport("matroid-exchange", False, {"empty": True})
-    ext, _ = _exchange_maps(s)
+    ext = _extensions(s)
     (members,) = levels.values()
     for B1 in members:
         # x fails against B2 when B2 holds neither x nor a y with B1 - x + y a member

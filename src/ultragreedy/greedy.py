@@ -179,7 +179,7 @@ def _set_dag(t: UltraTriple, C: Iterable[int], m: int, cap: float = math.inf) ->
     levels: list[dict] = []
     level = {0: _start(t, pts)}  # each set -> its gain vector
     paths = {0: 1}  # each set -> the greedy runs that reach it
-    while True:
+    for _ in range(m + 1):
         total = sum(paths.values())
         if total > cap:
             raise ValueError(f"more than cap={cap} greedy permutations")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -45,6 +47,28 @@ def pytest_terminal_summary(terminalreporter):
         outcome = _results[label]
         word = {"passed": "PASS", "failed": "FAIL", "skipped": "SKIP"}[outcome]
         terminalreporter.write_line(f"criterion {shown}: {word}")
+
+
+@pytest.fixture(scope="session")
+def returns_within():
+    """`with returns_within(seconds):` fails the test once its block has run
+    `seconds` of wall time, so a call that never returns fails in seconds
+    instead of hanging the suite."""
+
+    @contextmanager
+    def limit(seconds: float):
+        def expire(signum, frame):
+            pytest.fail(f"did not return within {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,9 @@ from ultragreedy import (
     bhargava_greedoid,
     brute_max_tuple_perimeter,
     check_equivalence,
+    clone_triple,
     constant_triple,
+    count_greedy_permutations,
     extend_greedy,
     extend_to_full,
     greedy_permutation,
@@ -37,7 +39,7 @@ from ultragreedy import (
     rseq_triple,
     strong_exchange_pair,
 )
-from ultragreedy import bhargava, greedy
+from ultragreedy import bhargava, greedoid, greedy
 from ultragreedy.cli import InputError, build_parser, main
 
 PLAIN = mod_triple([1, 2, 3, 4, 5], 2, 1, 2)  # parity: same parity at 1, else 2
@@ -166,6 +168,10 @@ CASES = [
         lambda: rseq_triple([0, 1, 8], [2, 4, 8], [2, 1]),
         ValueError, "no r entry divides 1; the valuation is undefined", id="rseq-no-divisor-first",
     ),
+    pytest.param(
+        lambda: clone_triple(extend_to_full(constant_triple(3), 1), 667),
+        ValueError, "n=2001 must be at most 2000", id="clone-n-hold",
+    ),
     pytest.param(lambda: padic_triple([0, True], 2), TypeError, "points must be integers, got True", id="padic-bool-point"),
     pytest.param(lambda: EquivHierarchy([], []), ValueError, "need at least the trivial level", id="hierarchy-no-levels"),
     pytest.param(
@@ -226,6 +232,13 @@ CASES = [
     pytest.param(lambda: nu_bar(PLAIN, ALL, 6), ValueError, "k=6 out of range 1..5", id="nu-bar-k-above-C"),
     pytest.param(lambda: nu_bar(PLAIN, [0, 7], 1), IndexError, "point 7 out of range for 5 points", id="nu-bar-point-outside"),
     pytest.param(lambda: all_greedy_traces(PLAIN, ALL, 6), ValueError, "m=6 must be between 0 and |C|=5", id="all-traces-m"),
+    pytest.param(lambda: all_greedy_traces(PLAIN, ALL, 1.5), TypeError, "'float' object cannot be interpreted", id="all-traces-float-m"),
+    pytest.param(
+        lambda: all_greedy_permutations(PLAIN, ALL, 1.5), TypeError, "'float' object cannot be interpreted", id="all-permutations-float-m",
+    ),
+    pytest.param(
+        lambda: count_greedy_permutations(PLAIN, ALL, 1.5), TypeError, "'float' object cannot be interpreted", id="count-float-m",
+    ),
     pytest.param(
         lambda: all_greedy_permutations(PLAIN, ALL, 3, cap=1), ValueError, "more than cap=1 greedy permutations", id="all-permutations-cap",
     ),
@@ -239,9 +252,9 @@ CASES = [
 
 
 @pytest.mark.parametrize("call, error, fragment", CASES)
-def test_refusal(call, error, fragment, tmp_path, monkeypatch, capsys):
+def test_refusal(call, error, fragment, tmp_path, monkeypatch, capsys, returns_within):
     if not isinstance(call, Cli):
-        with pytest.raises(error, match=re.escape(fragment)):
+        with returns_within(1), pytest.raises(error, match=re.escape(fragment)):
             call()
         return
     monkeypatch.chdir(tmp_path)
@@ -293,6 +306,20 @@ class TestOneEngineRun:
         subsets = _count(monkeypatch, greedy, "_subset")
         assert nu(FULL, ALL, 3) == want
         assert (len(walks), len(subsets)) == (1, 1)
+
+    def test_greedoid_checks_count_extension_maps(self, tmp_path, monkeypatch):
+        s = bhargava_greedoid(PLAIN)
+        builds = _count(monkeypatch, greedoid, "_extensions")
+        for check, want in (greedoid.check_axiom_ii, 0), (greedoid.check_axiom_iii, 1), (greedoid.check_axiom_iv, 1):
+            builds.clear()
+            assert check(s).holds
+            assert len(builds) == want, check.__name__
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--family", "mod", "--points", "1,2,3,4,5", "--m", "2",
+                     "--eps", "1", "--alpha", "2", "--out", "input"]) == 0
+        builds.clear()
+        assert main(["greedoid", "input", "--emit", "check"]) == 0
+        assert len(builds) == 2 + len(s.levels())  # (iii), (iv), then one per level
 
     def test_check_equivalence_reads_the_pool_once(self, monkeypatch):
         pools = _count(monkeypatch, bhargava, "_pool")

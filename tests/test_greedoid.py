@@ -64,9 +64,11 @@ class TestMasks:
         assert points_from_mask(mask_from_points([0, 3, 5])) == (0, 3, 5)
         assert mask_from_points(()) == 0
 
-    def test_negative_rejected(self):
+    def test_negative_rejected(self, returns_within):
         with pytest.raises(ValueError):
             mask_from_points([-1])
+        with returns_within(1), pytest.raises(ValueError, match="mask -1 is negative"):
+            points_from_mask(-1)
 
     def test_wide_sparse_mask(self):
         # one step per member point: a far point must not cost a pass per bit
