@@ -13,8 +13,8 @@ from __future__ import annotations
 from bisect import bisect
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import chain, count, repeat
-from operator import lt
+from itertools import accumulate, chain, count, repeat
+from operator import lt, mul
 
 from .bhargava import _check_prime, _pool
 from .core import FullUltraTriple, UltraTriple, _Record, rational
@@ -26,9 +26,11 @@ def _weights(n: int, weights: Iterable[int | str | Fraction] | None) -> Iterable
 
 
 def _int_points(points: Iterable[int]) -> list[int]:
+    """The points, once each is an int, no two are equal and they are held: before any walk."""
     pts = list(points)
     if len(_pool(pts)) != len(pts):  # _pool checks each point is an int
         raise ValueError("points must be distinct")
+    _hold(len(pts))
     return pts
 
 
@@ -95,24 +97,24 @@ def _triple_from_blocks(pts: Sequence[int], c0, levels, weights) -> UltraTriple:
     return UltraTriple(tuple(map(str, pts)), _weights(len(pts), weights), rows)
 
 
-def _classes(pts: list[int], block: Iterable[int], q: int) -> list[list[int]]:
-    """The classes of block's points mod q (equal points for q = 0) that hold two or more of them."""
-    classes: dict[int, list[int]] = {}
-    for i in block:
-        classes.setdefault(pts[i] % q if q else pts[i], []).append(i)
-    return [c for c in classes.values() if len(c) > 1]
-
-
-def _chain_blocks(pts: list[int], moduli: Iterable[int]):
-    """Per modulus in turn, the blocks so far split into their classes mod it
-    that hold two or more points (increasing index lists), until none is left;
-    along a divisibility chain a pair stays together exactly through the
-    deepest modulus dividing its difference."""
-    blocks: list = [range(len(pts))]
-    last = None
-    for q in moduli:
-        if abs(q) != last:  # a repeated modulus keeps its classes
-            blocks, last = [c for block in blocks for c in _classes(pts, block, q)], abs(q)
+def _chain_blocks(pts: list[int], ratios: Iterable[int]):
+    """Per modulus of a chain, given as its positive ratio to the one before (the first to 1),
+    the blocks so far split into their classes mod it that hold two or more points (increasing
+    index lists), until none is left.  Each surviving point carries its quotient by the modulus
+    so far: a block splits by the quotients mod the ratio, which then divides them, so they
+    shrink; a ratio of 1 keeps the blocks, touching no point."""
+    quo = list(pts)
+    blocks: list = [range(len(pts))] if len(pts) > 1 else []
+    for t in ratios:
+        if t != 1:
+            parts = []
+            for block in blocks:
+                classes: dict[int, list[int]] = {}
+                for i in block:
+                    quo[i], key = divmod(quo[i], t)
+                    classes.setdefault(key, []).append(i)
+                parts += [c for c in classes.values() if len(c) > 1]
+            blocks = parts
         if not blocks:
             return
         yield blocks
@@ -152,8 +154,7 @@ def padic_triple(points: Iterable[int], p: int, weights: Iterable | None = None)
     """Distance p**(-v_p(a-b)) between distinct integers a and b."""
     _check_prime(p)
     pts = _int_points(points)
-    chain = enumerate(_chain_blocks(pts, (p**v for v in count(1))), 1)
-    levels = ((Fraction(1, p**v), blocks) for v, blocks in chain)
+    levels = zip((Fraction(1, q) for q in accumulate(repeat(p), mul)), _chain_blocks(pts, repeat(p)))
     return _triple_from_blocks(pts, Fraction(1), levels, weights)
 
 
@@ -161,8 +162,7 @@ def padic_log_triple(points: Iterable[int], p: int, weights: Iterable | None = N
     """Distance -v_p(a-b): the integer-valued logarithmic variant."""
     _check_prime(p)
     pts = _int_points(points)
-    chain = enumerate(_chain_blocks(pts, (p**v for v in count(1))), 1)
-    levels = ((Fraction(-v), blocks) for v, blocks in chain)
+    levels = zip(map(Fraction, count(-1, -1)), _chain_blocks(pts, repeat(p)))
     return _triple_from_blocks(pts, Fraction(0), levels, weights)
 
 
@@ -205,14 +205,15 @@ def rseq_triple(
     cs = _decreasing([rational(x) for x in c])
     pts = _int_points(points)
     n, L = len(pts), len(cs)
-    chain = list(_chain_blocks(pts, rs[: L + 1]))  # the blocks mod r0, ..., r_L
+    mods = [1] + [abs(x) for x in rs[: L + 1] if x]  # a zero ends the chain: distinct points all part there
+    chain = list(_chain_blocks(pts, (b // a for a, b in zip(mods, mods[1:]))))  # the blocks mod r0, ..., r_L
     # the first bad pair in row order: (i0, 0), or (i, j), the first two points of a block mod r_L
     i0 = next((i for i in range(1, n) if not _divides(rs[0], pts[i] - pts[0])), n)
     j, i = min(chain[L], key=lambda block: block[1])[:2] if len(chain) > L else (0, n)
     if i0 < n and i0 <= i:
         raise ValueError(f"no r entry divides {pts[i0] - pts[0]}; the valuation is undefined")
     if i < n:
-        v = L + sum(1 for _ in _chain_blocks([pts[j], pts[i]], rs[L + 1:]))
+        v = L + sum(_divides(x, pts[i] - pts[j]) for x in rs[L + 1 :])  # the entries past r_L dividing it
         raise ValueError(f"c has {L} entries but the valuation reaches {v}")
     return _triple_from_blocks(pts, cs[0] if cs else None, zip(cs[1:], chain[1:]), weights)
 
@@ -418,10 +419,12 @@ def extend_to_full(t: UltraTriple, N: int | str | Fraction) -> FullUltraTriple:
 def shift_distances(t: FullUltraTriple, R: int | str | Fraction) -> FullUltraTriple:
     """Add R to every off-diagonal distance, keeping self-distances.
 
-    Never raises: for R < 0 the result can violate the full-triple
+    Any R goes: for R < 0 the result can violate the full-triple
     inequality, which `validate` will report.
     """
     R = rational(R)
+    if not isinstance(t, FullUltraTriple):
+        raise TypeError("shifted distances need a full triple (self-distances)")
     dist = tuple(tuple(x + R for x in row) for row in t.dist)
     return FullUltraTriple(t.labels, t.weights, dist, t.selfdist)
 
@@ -439,6 +442,8 @@ def clone_triple(t: FullUltraTriple, N: int) -> FullUltraTriple:
     if not isinstance(N, int) or isinstance(N, bool) or N < 1:
         raise ValueError("N must be a positive integer")
     _hold(t.n * N)
+    if not isinstance(t, FullUltraTriple):
+        raise TypeError("clones need a full triple (self-distances)")
 
     def copies(xs: Iterable[Fraction]) -> tuple[Fraction, ...]:
         return tuple(chain.from_iterable(map(repeat, xs, repeat(N))))  # each entry N times over, in order

@@ -37,6 +37,7 @@ from ultragreedy import (
     padic_triple,
     points_from_mask,
     rseq_triple,
+    shift_distances,
     strong_exchange_pair,
 )
 from ultragreedy import bhargava, greedoid, greedy
@@ -173,6 +174,11 @@ CASES = [
         ValueError, "n=2001 must be at most 2000", id="clone-n-hold",
     ),
     pytest.param(lambda: padic_triple([0, True], 2), TypeError, "points must be integers, got True", id="padic-bool-point"),
+    # the residue families hold their points before the chain walk reads them
+    pytest.param(lambda: padic_triple(range(10**6), 2), ValueError, "n=1000000 must be at most 2000", id="padic-hold-before-walk"),
+    pytest.param(lambda: rseq_triple(range(2001), [2], [1]), ValueError, "n=2001 must be at most 2000", id="rseq-hold-before-pairs"),
+    pytest.param(lambda: shift_distances(PLAIN, 1), TypeError, "shifted distances need a full triple", id="shift-plain"),
+    pytest.param(lambda: clone_triple(PLAIN, 2), TypeError, "clones need a full triple", id="clone-plain"),
     pytest.param(lambda: EquivHierarchy([], []), ValueError, "need at least the trivial level", id="hierarchy-no-levels"),
     pytest.param(
         lambda: EquivHierarchy([[{1, 2}], [{1}, {2}]], [1]),

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -98,6 +99,20 @@ class TestPadic:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
             padic_triple([1, 1], 2)
+
+    def test_deep_chain_builds_in_time(self, returns_within):
+        # the walk divides each surviving point by p, so its numbers shrink level by
+        # level; reducing them mod p**v at every level took 13 s and 4 s (2 shared vCPUs)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # the labels print the points
+        try:
+            with returns_within(3):
+                t = padic_triple([0, 2**32000], 2)
+                tlog = padic_log_triple([0, 3**16000], 3)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert t.dist[1][0] == Fraction(1, 2**32000)
+        assert tlog.dist[1][0] == -16000
 
 
 class TestRseq:
