@@ -92,6 +92,8 @@ def _pm_walk(pool: list[int], p: int, seq: Sequence[int], m: int) -> list[int] |
     themselves) are at infinity, so they only tie once every candidate is.
     Returns the picks, or None as soon as an entry of seq does not minimize.
     """
+    if not isinstance(m, int) or isinstance(m, bool):  # True would make one step
+        raise TypeError(f"count {m!r}: {type(m).__name__!r} object cannot be interpreted as an integer")
     vals = dict.fromkeys(pool, 0)
     out: list[int] = []
     for i in range(m):

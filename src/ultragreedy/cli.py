@@ -11,11 +11,10 @@ Each handler computes and returns its output and exit code; `main` alone
 writes the output and maps errors to exit codes.  The package hands out
 its modules unexecuted, so a command runs only the modules it uses.
 
-A rational string is an integer or "p/q" with surrounding whitespace
-trimmed: ASCII digits, a minus sign only in front, and an unsigned
-denominator; integer options and lists take its integers.  Each enumerating
-subcommand takes its limit from --cap alone; pordering --m, and greedy --m
-and nu --k in subsequence mode, are held to 10**6.
+A rational string is an integer or "p/q" as `core.rational` reads it, and
+integer options and lists take its integers.  Each enumerating subcommand
+takes its limit from --cap alone; pordering --m, and greedy --m and nu --k
+in subsequence mode, are held to 10**6.
 """
 
 from __future__ import annotations
@@ -39,20 +38,14 @@ class InputError(Exception):
     """Anything wrong with arguments or input files; maps to exit code 2."""
 
 
-_RATIONAL_FORM = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # ASCII: \d matches any Unicode digit
+_INTEGER_FORM = re.compile(r"-?[0-9]+")  # ASCII: \d matches any Unicode digit
 
 
 def _rational(value: str | int, what: str) -> Fraction:
     try:
-        if not isinstance(value, str):
-            return core.rational(value)  # a JSON number: floats and bools are refused
-        match = _RATIONAL_FORM.fullmatch(value.strip())
-        if match is not None:
-            num, den = match.groups()
-            return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+        return core.rational(value)  # a JSON number too: floats and bools are refused
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational in {what}: {exc}") from None
-    raise InputError(f"bad rational in {what}: {value!r} is not p/q or integer")
 
 
 def _split(text: str) -> list[str]:
@@ -62,10 +55,9 @@ def _split(text: str) -> list[str]:
 
 def _integer(text: str) -> int:
     """A rational string with no denominator: every integer option and list."""
-    match = _RATIONAL_FORM.fullmatch(text.strip())
-    if match is None or match[2] is not None:
+    if (match := _INTEGER_FORM.fullmatch(text.strip())) is None:
         raise ValueError(f"{text!r} is not an integer")  # argparse: exit 2
-    return int(match[1])
+    return int(match[0])
 
 
 _integer.__name__ = "int"  # argparse names it in its message: "invalid int value: '+2'"
@@ -240,13 +232,13 @@ def _selection(args: argparse.Namespace, flag: str) -> tuple[core.UltraTriple, l
     if args.subset is None:
         pts = list(t.points())
     else:
+        index = {label: i for i, label in enumerate(t.labels)}  # one lookup per label, not a scan
         chosen = []
         for part in _split(args.subset):
             label = part.strip()
-            try:
-                chosen.append(t.index_of(label))
-            except KeyError:
-                raise InputError(f"unknown point label {label!r}") from None
+            if label not in index:
+                raise InputError(f"unknown point label {label!r}")
+            chosen.append(index[label])
         pts = list(dict.fromkeys(chosen))  # the library reads C as a set
     if args.mode == "subseq":
         if not isinstance(t, core.FullUltraTriple):

@@ -12,6 +12,7 @@ on exact ties between perimeters, so floats are rejected at the door.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -19,17 +20,23 @@ from itertools import combinations
 from operator import itemgetter
 
 Rational = Fraction
+_RATIONAL_FORM = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # ASCII: \d matches any Unicode digit
 
 
 def rational(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction, or string like '3/4' to an exact rational.
+    """Coerce an int, Fraction, or string like '-3/4' to an exact rational.
 
-    Floats are rejected: binary rounding would corrupt the exact tie
-    detection that the greedy/greedoid machinery relies on.
+    A string is an integer or "p/q", trimmed: ASCII digits, a minus sign only
+    in front, an unsigned denominator.  Floats are rejected: binary rounding
+    would corrupt the exact tie detection that greedy/greedoid relies on.
     """
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(f"expected an exact rational, got {value!r}")
-    return Fraction(value)
+    if not isinstance(value, str):
+        return Fraction(value)
+    if (match := _RATIONAL_FORM.fullmatch(value.strip())) is None:
+        raise ValueError(f"{value!r} is not p/q or integer")
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def _freeze_rationals(values: Iterable[int | str | Fraction]) -> tuple[Fraction, ...]:

@@ -20,15 +20,23 @@ from .core import UltraTriple, _merges, _Record, _rows, perimeter_set, projectio
 AXIOMS = ("i", "ii", "iii", "iv", "matroid-exchange")
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def mask_from_points(pts: Iterable[int]) -> int:
     mask = 0
     for a in pts:
+        if not _is_int(a) or a < 0:
+            raise ValueError(f"point {_shown(a)} is not a nonnegative integer")
         mask |= 1 << a
     return mask
 
 
 def points_from_mask(mask: int) -> tuple[int, ...]:
     # one step per member point (lowest set bit first), not per bit position
+    if not _is_int(mask):
+        raise ValueError(f"mask {_shown(mask)} is not an integer")
     if mask < 0:
         raise ValueError(f"mask {_shown(mask)} is negative")
     out = []
@@ -47,6 +55,13 @@ def _shown(value: object) -> str:
     return repr(value)
 
 
+def _check_ground(ground: object) -> None:
+    if not _is_int(ground):
+        raise ValueError(f"ground must be an integer, got {_shown(ground)}")
+    if ground < 0:
+        raise ValueError("ground size must be nonnegative")
+
+
 class SetSystem(_Record):
     """A family of subsets of {0..ground-1}, each stored as a bitmask."""
 
@@ -55,20 +70,20 @@ class SetSystem(_Record):
     sets: frozenset[int]
 
     def __init__(self, ground: int, sets: Iterable[int]) -> None:
-        if ground < 0:
-            raise ValueError("ground size must be nonnegative")
+        _check_ground(ground)
         sets = frozenset(sets)
         for mask in sets:
-            if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0 or mask >> ground:
+            if not _is_int(mask) or mask < 0 or mask >> ground:
                 raise ValueError(f"mask {_shown(mask)} does not fit in ground size {_shown(ground)}")
         self._set(ground, sets)
 
     @classmethod
     def from_point_sets(cls, ground: int, families: Iterable[Iterable[int]]) -> "SetSystem":
+        _check_ground(ground)
         families = [tuple(f) for f in families]
         for a in chain.from_iterable(families):
             # checked before shifting: a huge point would build a huge mask
-            if not isinstance(a, int) or isinstance(a, bool):
+            if not _is_int(a):
                 raise ValueError(f"point {_shown(a)} is not an integer")
             if not 0 <= a < ground:
                 raise ValueError(f"point {_shown(a)} does not fit in ground size {_shown(ground)}")
@@ -165,7 +180,7 @@ def _extensions(s: SetSystem) -> dict[int, int]:
 
 def _deletions(s: SetSystem, B: int) -> int:
     """The mask of the x in the member B with B - x a member."""
-    return mask_from_points(x for x in points_from_mask(B) if B ^ 1 << x in s.sets)
+    return sum(1 << x for x in points_from_mask(B) if B ^ 1 << x in s.sets)
 
 
 def check_axiom_ii(s: SetSystem) -> AxiomReport:

@@ -92,6 +92,12 @@ def _step(t: UltraTriple, vec: tuple[int, dict[int, int]], c: int, keep: bool) -
     return _scaled(L, gains, adds)
 
 
+def _check_count(m: object) -> None:
+    """A step count is an int, never a bool: True would make one step."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise TypeError(f"count {m!r}: {type(m).__name__!r} object cannot be interpreted as an integer")
+
+
 def _walk(
     t: UltraTriple, pts: list[int], seq: Sequence[int], m: int, keep: bool
 ) -> tuple[tuple[int, ...], tuple[Fraction, ...]] | None:
@@ -105,6 +111,7 @@ def _walk(
     Each step costs O(|pts|): one pass for the maximum and one distance row
     added to the gain vector.
     """
+    _check_count(m)
     L, gains = vec = _start(t, pts)
     chosen: list[int] = []
     increments: list[Fraction] = []
@@ -174,6 +181,7 @@ def _set_dag(t: UltraTriple, C: Iterable[int], m: int, cap: float = math.inf) ->
     past `cap` at any level is an error at once, before the next level.
     """
     pts = _subset(t, C)
+    _check_count(m)
     if not 0 <= m <= len(pts):
         raise ValueError(f"m={m} must be between 0 and |C|={len(pts)}")
     levels: list[dict] = []

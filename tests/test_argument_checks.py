@@ -17,6 +17,7 @@ import pytest
 
 from ultragreedy import (
     EquivHierarchy,
+    SetSystem,
     WeightedTree,
     all_greedy_permutations,
     all_greedy_traces,
@@ -31,10 +32,12 @@ from ultragreedy import (
     greedy_permutation,
     greedy_subsequence,
     is_greedy_subsequence,
+    mask_from_points,
     mod_triple,
     nu,
     nu_bar,
     padic_triple,
+    pm_ordering,
     points_from_mask,
     rseq_triple,
     shift_distances,
@@ -248,9 +251,30 @@ CASES = [
     pytest.param(
         lambda: all_greedy_permutations(PLAIN, ALL, 3, cap=1), ValueError, "more than cap=1 greedy permutations", id="all-permutations-cap",
     ),
+    # a count is an int: True made one step, 2.0 failed in `range`
+    pytest.param(lambda: greedy_permutation(PLAIN, ALL, True), TypeError, "count True: 'bool' object", id="permutation-bool-m"),
+    pytest.param(lambda: nu_bar(PLAIN, ALL, True), TypeError, "count True: 'bool' object", id="nu-bar-bool-k"),
+    pytest.param(lambda: nu_bar(PLAIN, ALL, 2.0), TypeError, "count 2.0: 'float' object", id="nu-bar-float-k"),
+    pytest.param(lambda: count_greedy_permutations(PLAIN, ALL, 2.0), TypeError, "count 2.0: 'float' object", id="count-whole-float-m"),
+    pytest.param(lambda: count_greedy_permutations(PLAIN, ALL, True), TypeError, "count True: 'bool' object", id="count-bool-m"),
     # P-orderings
     pytest.param(lambda: check_equivalence([0, 1, 2], 4, [0]), ValueError, "p=4 is not a prime", id="equivalence-composite-p"),
     pytest.param(lambda: check_equivalence([0, 1.5], 2, [0]), TypeError, "points must be integers, got 1.5", id="equivalence-float-point"),
+    pytest.param(lambda: pm_ordering([1, 2, 3], 2, 2.0), TypeError, "count 2.0: 'float' object", id="pm-ordering-float-m"),
+    pytest.param(lambda: pm_ordering([1, 2, 3], 2, True), TypeError, "count True: 'bool' object", id="pm-ordering-bool-m"),
+    # set systems: the ground and the points are checked as `read_set_system` checks them
+    pytest.param(lambda: SetSystem(2.5, []), ValueError, "ground must be an integer, got 2.5", id="system-float-ground-empty"),
+    pytest.param(lambda: SetSystem(True, [1]), ValueError, "ground must be an integer, got True", id="system-bool-ground"),
+    pytest.param(lambda: SetSystem(2.5, [1]), ValueError, "ground must be an integer, got 2.5", id="system-float-ground"),
+    pytest.param(
+        lambda: SetSystem.from_point_sets(2.5, [[0]]), ValueError, "ground must be an integer, got 2.5", id="point-sets-float-ground",
+    ),
+    pytest.param(lambda: mask_from_points([-1]), ValueError, "point -1 is not a nonnegative integer", id="mask-negative-point"),
+    pytest.param(lambda: mask_from_points([True]), ValueError, "point True is not a nonnegative integer", id="mask-bool-point"),
+    pytest.param(
+        lambda: mask_from_points([1.0]), ValueError, "point 1.0 is not a nonnegative integer", id="mask-float-point",
+    ),
+    pytest.param(lambda: points_from_mask(True), ValueError, "mask True is not an integer", id="points-bool-mask"),
     # elsewhere
     pytest.param(lambda: strong_exchange_pair(PLAIN, *_system_pair()), ValueError, "need |B| = |A| + 1", id="strong-exchange-sizes"),
     pytest.param(lambda: brute_max_tuple_perimeter(FULL, ALL, -1), ValueError, "k must be nonnegative", id="brute-tuple-negative-k"),

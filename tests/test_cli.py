@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -32,6 +33,7 @@ from ultragreedy import (
     padic_triple,
     points_from_mask,
     random_ultra_triple,
+    rational,
     shift_distances,
     tree_triple,
 )
@@ -806,6 +808,25 @@ class TestIntegerGrammar:
         path.write_text(json.dumps({"points": ["a", "b"], "weights": ["0", "0"], "distances": [[], ["\uff11"]]}))
         code, out, err = run(capsys, "validate", str(path))
         assert (code, out, err) == (2, "", "error: bad rational in distances: '\uff11' is not p/q or integer\n")
+
+
+def _table(test) -> list:
+    """The values of a test's one parametrize mark."""
+    (mark,) = [m for m in test.pytestmark if m.name == "parametrize"]
+    return mark.args[1]
+
+
+class TestLibraryGrammar:
+    """`rational`, behind every library builder, reads the grammar of the CLI's tables."""
+
+    @pytest.mark.parametrize("text, value", _table(TestRationalGrammar.test_accepted))
+    def test_accepted(self, text, value):
+        assert rational(text) == _rational(text, "weights") == Fraction(value)
+
+    @pytest.mark.parametrize("text", list(dict.fromkeys(_table(TestRationalGrammar.test_rejected) + OUTSIDE_THE_GRAMMAR)))
+    def test_rejected(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"{text!r} is not p/q or integer")):
+            rational(text)
 
 
 class TestReadInstance:

@@ -51,6 +51,19 @@ class TestRational:
         with pytest.raises(TypeError):
             rational(True)
 
+    def test_exponent_string_is_refused_at_once(self, returns_within):
+        # `Fraction("1e100000000")` builds a 10**8-digit integer: over a minute
+        big = "1e100000000"
+        builds = [
+            lambda: rational(big),
+            lambda: UltraTriple(["a", "b"], [big, 0], [[], [1]]),
+            lambda: mod_triple([1, 2], 2, big, "1e100000001"),
+            lambda: EquivHierarchy([[{0, 1}], [{0}, {1}]], [big]),
+        ]
+        for build in builds:
+            with returns_within(1), pytest.raises(ValueError, match="'1e10+' is not p/q or integer"):
+                build()
+
 
 class TestConstruction:
     def test_fractions_kept_as_given(self):
