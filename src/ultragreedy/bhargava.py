@@ -14,6 +14,7 @@ from collections.abc import Iterable, Sequence
 
 from . import constructions, greedy
 
+# int checks are written out here, not taken from core: `pordering` runs cli and this module alone
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to all of _BASES (Sorenson and Webster 2015)
 _EXACT_BELOW = 3317044064679887385961981
@@ -92,8 +93,6 @@ def _pm_walk(pool: list[int], p: int, seq: Sequence[int], m: int) -> list[int] |
     themselves) are at infinity, so they only tie once every candidate is.
     Returns the picks, or None as soon as an entry of seq does not minimize.
     """
-    if not isinstance(m, int) or isinstance(m, bool):  # True would make one step
-        raise TypeError(f"count {m!r}: {type(m).__name__!r} object cannot be interpreted as an integer")
     vals = dict.fromkeys(pool, 0)
     out: list[int] = []
     for i in range(m):
@@ -116,6 +115,8 @@ def pm_ordering(E: Iterable[int], p: int, m: int) -> list[int]:
     """
     _check_prime(p)
     pool = _pool(E)
+    if not isinstance(m, int) or isinstance(m, bool):  # True would make one step
+        raise TypeError(f"count {m!r}: {type(m).__name__!r} object cannot be interpreted as an integer")
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > 0 and not pool:

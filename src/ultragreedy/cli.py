@@ -205,10 +205,9 @@ def read_set_system(path: str, cap: int) -> greedoid.SetSystem:
     doc = _load_json(path)
     try:
         ground = doc["ground"]
-        if not isinstance(ground, int) or isinstance(ground, bool):
-            raise ValueError(f"ground must be an integer, got {ground!r}")
+        greedoid._check_ground(ground)
         if ground > cap:  # before any mask: a mask has `ground` bits
-            raise InputError(f"ground size {greedoid._shown(ground)} exceeds cap {cap}")
+            raise InputError(f"ground size {core._shown(ground)} exceeds cap {cap}")
         sets = doc["sets"]
         if not isinstance(sets, list) or not all(isinstance(f, list) for f in sets):
             raise ValueError("sets must be an array of arrays")

@@ -17,7 +17,7 @@ from itertools import accumulate, chain, count, repeat
 from operator import lt, mul
 
 from .bhargava import _check_prime, _pool
-from .core import FullUltraTriple, UltraTriple, _Record, rational
+from .core import FullUltraTriple, UltraTriple, _check_count, _is_int, _Record, _shown, rational
 
 
 def _weights(n: int, weights: Iterable[int | str | Fraction] | None) -> Iterable:
@@ -37,7 +37,7 @@ def _int_points(points: Iterable[int]) -> list[int]:
 def _hold(n: int) -> None:
     """Every built triple is held to 2000 points, before its rows, or any draw, are made."""
     if n > 2000:
-        raise ValueError(f"n={n} must be at most 2000")
+        raise ValueError(f"n={_shown(n)} must be at most 2000")
 
 
 def _meet_rows(n: int, value: Sequence, parent: Sequence[int], home: Iterable[int]) -> list:
@@ -122,9 +122,11 @@ def _chain_blocks(pts: list[int], ratios: Iterable[int]):
 
 def constant_triple(n: int, weights: Iterable | None = None) -> UltraTriple:
     """n points, all pairwise distances equal to 1; n is held to 2000."""
+    _check_count(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rows = _meet_rows(n, [Fraction(1)], [0], repeat(0, n))  # the root alone, held before its labels exist
+    _hold(n)  # before the homes, the rows or the labels exist
+    rows = _meet_rows(n, [Fraction(1)], [0], repeat(0, n))  # the root alone
     return UltraTriple(tuple(map(str, range(n))), _weights(n, weights), rows)
 
 
@@ -144,7 +146,7 @@ def mod_triple(
     alpha = rational(alpha)
     if eps > alpha:
         raise ValueError(f"eps={eps} must not exceed alpha={alpha}")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValueError("m must be a positive integer")
     pts = _int_points(points)
     return _triple_from_blocks(pts, alpha, zip([eps], _chain_blocks(pts, [m])), weights)
@@ -197,7 +199,7 @@ def rseq_triple(
     if not rs:
         raise ValueError("r must be nonempty")
     for x in rs:
-        if not isinstance(x, int) or isinstance(x, bool):
+        if not _is_int(x):
             raise TypeError(f"r entries must be integers, got {x!r}")
     for i in range(len(rs) - 1):
         if not _divides(rs[i], rs[i + 1]):
@@ -289,13 +291,15 @@ def random_ultra_triple(seed: int, n: int, depth: int = 3, weights: Iterable | N
     """
     import random  # here: no other builder loads it
 
+    _check_count(n)
+    _check_count(depth)
     if n < 1:
-        raise ValueError(f"n={n} must be at least 1")
+        raise ValueError(f"n={_shown(n)} must be at least 1")
     _hold(n)
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if depth > 10**6:
-        raise ValueError(f"depth={depth} must be at most 1000000")
+        raise ValueError(f"depth={_shown(depth)} must be at most 1000000")
     rng = random.Random(seed)
     levels: list[list[list[int]]] = []  # from level 1 on, the blocks still holding a pair
     blocks = [range(n)] if n > 1 else []  # a single point draws nothing
@@ -439,7 +443,7 @@ def clone_triple(t: FullUltraTriple, N: int) -> FullUltraTriple:
     of a subset correspond to greedy m-permutations over its copies whenever
     N >= m.  The n*N copies are held to 2000, as every built triple is.
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
+    if not _is_int(N) or N < 1:
         raise ValueError("N must be a positive integer")
     _hold(t.n * N)
     if not isinstance(t, FullUltraTriple):

@@ -48,6 +48,24 @@ def _freeze_rationals(values: Iterable[int | str | Fraction]) -> tuple[Fraction,
     return tuple(v if type(v) is Fraction else rational(v) for v in values)
 
 
+def _is_int(value: object) -> bool:
+    """An int that is not a bool: every count, ground, point and mask is one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_count(m: object) -> None:
+    """A count is an int, never a bool: True would count one."""
+    if not _is_int(m):
+        raise TypeError(f"count {m!r}: {type(m).__name__!r} object cannot be interpreted as an integer")
+
+
+def _shown(value: object) -> str:
+    """repr(value), or the bit length of an int over 64 bits, whose digits could pass the int/str limit."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"<{value.bit_length()}-bit integer>"
+    return repr(value)
+
+
 class _Record:
     """A frozen record: slotted fields, set once in `__init__` by `_set`.
 
@@ -123,8 +141,8 @@ class UltraTriple(_Record):
         return range(self.n)
 
     def _check_point(self, a: int) -> None:
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.n:
-            raise IndexError(f"point {a!r} out of range for {self.n} points")
+        if not _is_int(a) or not 0 <= a < self.n:
+            raise IndexError(f"point {_shown(a)} out of range for {self.n} points")
 
     def w(self, a: int) -> Fraction:
         self._check_point(a)

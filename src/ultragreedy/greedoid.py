@@ -15,13 +15,9 @@ from collections.abc import Iterable
 from itertools import chain
 
 from . import oracle
-from .core import UltraTriple, _merges, _Record, _rows, perimeter_set, projections
+from .core import UltraTriple, _check_count, _is_int, _merges, _Record, _rows, _shown, perimeter_set, projections
 
 AXIOMS = ("i", "ii", "iii", "iv", "matroid-exchange")
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def mask_from_points(pts: Iterable[int]) -> int:
@@ -45,14 +41,6 @@ def points_from_mask(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def _shown(value: object) -> str:
-    """repr(value), or the bit length of an int over 64 bits, whose digits
-    could fill a screen or pass the int/str digit limit."""
-    if isinstance(value, int) and value.bit_length() > 64:
-        return f"<{value.bit_length()}-bit integer>"
-    return repr(value)
 
 
 def _check_ground(ground: object) -> None:
@@ -219,6 +207,7 @@ def check_axiom_iv(s: SetSystem) -> AxiomReport:
 
 def level_sets(s: SetSystem, k: int) -> SetSystem:
     """The members of cardinality exactly k, as their own system."""
+    _check_count(k)
     return SetSystem(s.ground, frozenset(m for m in s.sets if m.bit_count() == k))
 
 

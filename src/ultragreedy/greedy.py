@@ -22,7 +22,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import FullUltraTriple, UltraTriple, _Record, _subset
+from .core import FullUltraTriple, UltraTriple, _check_count, _Record, _shown, _subset
 
 
 class GreedyTrace(_Record):
@@ -92,12 +92,6 @@ def _step(t: UltraTriple, vec: tuple[int, dict[int, int]], c: int, keep: bool) -
     return _scaled(L, gains, adds)
 
 
-def _check_count(m: object) -> None:
-    """A step count is an int, never a bool: True would make one step."""
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise TypeError(f"count {m!r}: {type(m).__name__!r} object cannot be interpreted as an integer")
-
-
 def _walk(
     t: UltraTriple, pts: list[int], seq: Sequence[int], m: int, keep: bool
 ) -> tuple[tuple[int, ...], tuple[Fraction, ...]] | None:
@@ -109,9 +103,8 @@ def _walk(
     int (True, 0.0 and "0" included), a repeat in a permutation and a step
     past the last candidate have no gain at all, so they too give None.
     Each step costs O(|pts|): one pass for the maximum and one distance row
-    added to the gain vector.
+    added to the gain vector.  m is an int: each caller checks its count.
     """
-    _check_count(m)
     L, gains = vec = _start(t, pts)
     chosen: list[int] = []
     increments: list[Fraction] = []
@@ -133,9 +126,10 @@ def greedy_permutation(t: UltraTriple, C: Iterable[int], m: int) -> GreedyTrace:
 
     Ties go to the lowest point index, so the result is deterministic.
     """
+    _check_count(m)
     pts = _subset(t, C)
     if not 0 <= m <= len(pts):
-        raise ValueError(f"m={m} must be between 0 and |C|={len(pts)}")
+        raise ValueError(f"m={_shown(m)} must be between 0 and |C|={len(pts)}")
     return GreedyTrace(*_walk(t, pts, (), m, False), "permutation")
 
 
@@ -154,11 +148,12 @@ def extend_greedy(t: UltraTriple, C: Iterable[int], prefix: GreedyTrace, m: int)
     One walk follows the prefix, which checks it, and extends it; only the
     prefix's points are used, and every increment is recomputed.
     """
+    _check_count(m)
     pts = _subset(t, C)
     if prefix.mode != "permutation":
         raise ValueError("only permutation traces can be extended here")
     if not len(prefix) <= m <= len(pts):
-        raise ValueError(f"need |prefix|={len(prefix)} <= m={m} <= |C|={len(pts)}")
+        raise ValueError(f"need |prefix|={len(prefix)} <= m={_shown(m)} <= |C|={len(pts)}")
     walk = _walk(t, pts, prefix.points, m, False)
     if walk is None:
         raise ValueError("prefix is not a greedy permutation of C")
@@ -183,7 +178,7 @@ def _set_dag(t: UltraTriple, C: Iterable[int], m: int, cap: float = math.inf) ->
     pts = _subset(t, C)
     _check_count(m)
     if not 0 <= m <= len(pts):
-        raise ValueError(f"m={m} must be between 0 and |C|={len(pts)}")
+        raise ValueError(f"m={_shown(m)} must be between 0 and |C|={len(pts)}")
     levels: list[dict] = []
     level = {0: _start(t, pts)}  # each set -> its gain vector
     paths = {0: 1}  # each set -> the greedy runs that reach it
@@ -285,9 +280,10 @@ def nu_bar(t: UltraTriple, C: Iterable[int], k: int) -> Fraction:
     Equal to max-perimeter(k) - max-perimeter(k-1); the greedy prefixes
     realize both maxima, so one greedy run suffices.
     """
+    _check_count(k)
     pts = _subset(t, C)
     if not 1 <= k <= len(pts):
-        raise ValueError(f"k={k} out of range 1..{len(pts)}")
+        raise ValueError(f"k={_shown(k)} out of range 1..{len(pts)}")
     return _walk(t, pts, (), k, False)[1][k - 1]
 
 
@@ -300,6 +296,7 @@ def greedy_subsequence(t: FullUltraTriple, C: Iterable[int], m: int) -> GreedyTr
     """
     if not isinstance(t, FullUltraTriple):
         raise TypeError("greedy subsequences need a full triple (self-distances)")
+    _check_count(m)
     pts = _subset(t, C)
     if not pts and m > 0:
         raise ValueError("C must be nonempty")
@@ -317,8 +314,9 @@ def is_greedy_subsequence(t: FullUltraTriple, C: Iterable[int], seq: Sequence[in
 
 def nu(t: FullUltraTriple, C: Iterable[int], k: int) -> Fraction:
     """The k-th perimeter increment of any greedy subsequence of C."""
+    _check_count(k)
     if k < 1:
-        raise ValueError(f"k={k} must be at least 1")
+        raise ValueError(f"k={_shown(k)} must be at least 1")
     return greedy_subsequence(t, C, k).increments[k - 1]
 
 
@@ -332,9 +330,11 @@ def nu_bar_inequality_check(
     the other entries among the first k.  The trace is assumed greedy, so
     its own k-th increment realizes the invariant.
     """
+    _check_count(k)
+    _check_count(j)
     _subset(t, C)  # C is only checked: the trace is assumed greedy on it
     if not 1 <= j <= k <= len(trace):
-        raise ValueError(f"need 1 <= j={j} <= k={k} <= {len(trace)}")
+        raise ValueError(f"need 1 <= j={_shown(j)} <= k={_shown(k)} <= {len(trace)}")
     cj = trace.points[j - 1]
     rhs = t.w(cj)
     for i in range(1, k + 1):

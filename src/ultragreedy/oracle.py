@@ -10,6 +10,7 @@ built here: random instances come from `constructions.random_ultra_triple`.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -19,7 +20,9 @@ from .core import (
     UltraTriple,
     ValidationReport,
     Violation,
+    _check_count,
     _Record,
+    _shown,
     _subset,
     perimeter_set,
     perimeter_tuple,
@@ -63,11 +66,12 @@ def brute_validate(t: UltraTriple) -> ValidationReport:
 
 def brute_max_perimeter(t: UltraTriple, C: Iterable[int], k: int, cap: int = 20) -> MaxResult:
     """Maximum perimeter over all k-subsets of C, with all attaining subsets."""
+    _check_count(k)
     pts = _subset(t, C)
     if len(pts) > cap:
         raise ValueError(f"|C|={len(pts)} exceeds cap {cap}")
     if not 0 <= k <= len(pts):
-        raise ValueError(f"k={k} must be between 0 and |C|={len(pts)}")
+        raise ValueError(f"k={_shown(k)} must be between 0 and |C|={len(pts)}")
     best = None
     argmax: list[frozenset[int]] = []
     for combo in combinations(pts, k):
@@ -84,12 +88,17 @@ def brute_max_perimeter(t: UltraTriple, C: Iterable[int], k: int, cap: int = 20)
 def brute_max_tuple_perimeter(
     t: FullUltraTriple, C: Iterable[int], k: int, cap: int = 10**6
 ) -> MaxResult:
-    """Maximum perimeter over all |C|**k tuples, argmax reported as multisets."""
+    """Maximum perimeter over all |C|**k tuples, argmax reported as multisets.
+
+    The count is held before any power is built: past cap.bit_length() + 1
+    factors, a |C| of 2 or more already exceeds an int cap.
+    """
+    _check_count(k)
     pts = _subset(t, C)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if len(pts) ** k > cap:
-        raise ValueError(f"|C|**k = {len(pts) ** k} exceeds cap {cap}")
+    if len(pts) ** min(k, cap.bit_length() + 1) > cap:
+        raise ValueError(f"|C|**k = {len(pts)}**{_shown(k)} exceeds cap {cap}")
     if k > 0 and not pts:
         raise ValueError("C must be nonempty for k > 0")
     best = None
@@ -113,12 +122,13 @@ def brute_all_greedy(
     The step condition is evaluated from raw set perimeters, exactly as
     defined, with none of the incremental shortcuts under test.
     """
+    _check_count(m)
     pts = _subset(t, C)
-    count = 1
-    for i in range(m):
-        count *= len(pts) - i
+    count = math.perm(len(pts), m)
     if count > cap:
-        raise ValueError(f"{count} arrangements exceed cap {cap}")
+        raise ValueError(f"{_shown(count)} arrangements exceed cap {cap}")
+    if not count:  # m past |C|: `permutations` would still allocate m slots
+        return ()
     accepted: list[tuple[int, ...]] = []
     for arrangement in permutations(pts, m):
         ok = True

@@ -22,6 +22,8 @@ from ultragreedy import (
     all_greedy_permutations,
     all_greedy_traces,
     bhargava_greedoid,
+    brute_all_greedy,
+    brute_max_perimeter,
     brute_max_tuple_perimeter,
     check_equivalence,
     clone_triple,
@@ -32,18 +34,21 @@ from ultragreedy import (
     greedy_permutation,
     greedy_subsequence,
     is_greedy_subsequence,
+    level_sets,
     mask_from_points,
     mod_triple,
     nu,
     nu_bar,
+    nu_bar_inequality_check,
     padic_triple,
     pm_ordering,
     points_from_mask,
+    random_ultra_triple,
     rseq_triple,
     shift_distances,
     strong_exchange_pair,
 )
-from ultragreedy import bhargava, greedoid, greedy
+from ultragreedy import bhargava, constructions, core, greedoid, greedy, oracle
 from ultragreedy.cli import InputError, build_parser, main
 
 PLAIN = mod_triple([1, 2, 3, 4, 5], 2, 1, 2)  # parity: same parity at 1, else 2
@@ -278,6 +283,31 @@ CASES = [
     # elsewhere
     pytest.param(lambda: strong_exchange_pair(PLAIN, *_system_pair()), ValueError, "need |B| = |A| + 1", id="strong-exchange-sizes"),
     pytest.param(lambda: brute_max_tuple_perimeter(FULL, ALL, -1), ValueError, "k must be nonnegative", id="brute-tuple-negative-k"),
+    # a refusal names a huge integer by its bit length: its digits pass the int/str limit
+    pytest.param(lambda: PLAIN.w(10**5000), IndexError, "point <16610-bit integer> out of range for 5 points", id="huge-point"),
+    pytest.param(
+        lambda: greedy_permutation(PLAIN, ALL, 10**5000),
+        ValueError, "m=<16610-bit integer> must be between 0 and |C|=5", id="permutation-huge-m",
+    ),
+    pytest.param(lambda: nu(FULL, ALL, -(10**5000)), ValueError, "k=<16610-bit integer> must be at least 1", id="nu-huge-negative-k"),
+    pytest.param(lambda: constant_triple(10**5000), ValueError, "n=<16610-bit integer> must be at most 2000", id="constant-huge-n"),
+    pytest.param(
+        lambda: random_ultra_triple(0, 3, 10**5000),
+        ValueError, "depth=<16610-bit integer> must be at most 1000000", id="random-huge-depth",
+    ),
+    # the oracles hold their counts before they enumerate, or raise a power
+    pytest.param(
+        lambda: brute_max_tuple_perimeter(FULL, ALL, 10**7), ValueError, "|C|**k = 5**10000000 exceeds cap 1000000", id="brute-tuple-huge-k",
+    ),
+    pytest.param(
+        lambda: brute_all_greedy(constant_triple(2000), range(2000), 2000),
+        ValueError, "<19053-bit integer> arrangements exceed cap 1000000", id="brute-all-greedy-huge-count",
+    ),
+    # a set-system file's ground is checked whole before its sets
+    pytest.param(
+        cli("greedoid", "--system", "{file}", file='{"ground": -1, "sets": 5}'),
+        InputError, "bad set system: ground size must be nonnegative", id="system-negative-ground-first",
+    ),
 ]
 
 
@@ -355,3 +385,45 @@ class TestOneEngineRun:
         pools = _count(monkeypatch, bhargava, "_pool")
         assert check_equivalence([0, 1, 2, 9, 17, 128], 2, (0, 1, 2, 9)) is True
         assert len(pools) == 1
+
+
+COUNTS = {
+    "greedy_permutation": lambda m: greedy_permutation(PLAIN, ALL, m),
+    "extend_greedy": lambda m: extend_greedy(PLAIN, ALL, PAIR, m),
+    "nu_bar": lambda k: nu_bar(PLAIN, ALL, k),
+    "greedy_subsequence": lambda m: greedy_subsequence(FULL, ALL, m),
+    "nu": lambda k: nu(FULL, ALL, k),
+    "nu_bar_inequality_check-k": lambda k: nu_bar_inequality_check(PLAIN, ALL, PAIR, k, 1),
+    "nu_bar_inequality_check-j": lambda j: nu_bar_inequality_check(PLAIN, ALL, PAIR, 2, j),
+    "all_greedy_traces": lambda m: all_greedy_traces(PLAIN, ALL, m),
+    "all_greedy_permutations": lambda m: all_greedy_permutations(PLAIN, ALL, m),
+    "count_greedy_permutations": lambda m: count_greedy_permutations(PLAIN, ALL, m),
+    "level_sets": lambda k: level_sets(bhargava_greedoid(PLAIN), k),
+    "brute_max_perimeter": lambda k: brute_max_perimeter(PLAIN, ALL, k),
+    "brute_max_tuple_perimeter": lambda k: brute_max_tuple_perimeter(FULL, ALL, k),
+    "brute_all_greedy": lambda m: brute_all_greedy(PLAIN, ALL, m),
+    "constant_triple": lambda n: constant_triple(n),
+    "random_ultra_triple-n": lambda n: random_ultra_triple(0, n),
+    "random_ultra_triple-depth": lambda depth: random_ultra_triple(0, 3, depth),
+    "pm_ordering": lambda m: pm_ordering([1, 2, 3], 2, m),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "3"], ids=repr)
+@pytest.mark.parametrize("name", COUNTS)
+def test_count_refused_by_name(name, value, returns_within):
+    """A count is an int: True counted one, and "3" failed a comparison unnamed."""
+    with returns_within(1), pytest.raises(TypeError, match=re.escape(f"count {value!r}: ")):
+        COUNTS[name](value)
+
+
+def test_brute_all_greedy_past_C_is_empty_at_once(returns_within):
+    with returns_within(1):
+        assert brute_all_greedy(constant_triple(5), range(5), 10**9) == ()
+    assert brute_all_greedy(PLAIN, ALL, 6) == ()
+
+
+def test_integer_checks_have_one_home():
+    for name in ("_is_int", "_check_count", "_shown"):
+        for module in (constructions, greedoid, greedy, oracle):
+            assert getattr(module, name, getattr(core, name)) is getattr(core, name), (module.__name__, name)
